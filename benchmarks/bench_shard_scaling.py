@@ -20,8 +20,8 @@ counts K, measuring the three costs that tier exists to expose:
 Graphs are generated CSR-natively (numpy only — no Python ``Graph``
 object ever holds a million nodes) and sharded to disk in the parent;
 children open the shard directory cold, exactly as a real out-of-core
-run would.  A small-n digest cross-check against the batched tier runs
-first, so every benchmark invocation doubles as a correctness gate.
+run would.  A small-n digest cross-check against the vectorized tier
+runs first, so every benchmark invocation doubles as a correctness gate.
 
 Results land in ``BENCH_shards.json`` at the repo root by default.
 
@@ -188,31 +188,31 @@ def _digest(colors) -> str:
 
 
 def correctness_gate() -> Dict[str, Any]:
-    """Small-n digest cross-check: sharded == batched, both algorithms."""
+    """Small-n digest cross-check: sharded == vectorized, both algorithms."""
     g = erdos_renyi_avg_degree(5_000, 6.0, seed=GRAPH_SEED)
     out: Dict[str, Any] = {}
-    batched = color_edges(g, seed=RUN_SEED, compute="batched")
+    vec = color_edges(g, seed=RUN_SEED, compute="vectorized")
     sharded = color_edges(g, seed=RUN_SEED, compute="sharded", shards=3)
     if (
-        _digest(batched.colors) != _digest(sharded.colors)
-        or batched.metrics.as_dict() != sharded.metrics.as_dict()
+        _digest(vec.colors) != _digest(sharded.colors)
+        or vec.metrics.as_dict() != sharded.metrics.as_dict()
     ):
-        raise RuntimeError("sharded tier diverged from batched on alg1 n=5000")
+        raise RuntimeError("sharded tier diverged from vectorized on alg1 n=5000")
     out["alg1"] = {"digest": _digest(sharded.colors), "n": 5_000, "identical": True}
     d = g.to_directed()
-    batched = strong_color_arcs(d, seed=RUN_SEED, compute="batched")
+    vec = strong_color_arcs(d, seed=RUN_SEED, compute="vectorized")
     sharded = strong_color_arcs(d, seed=RUN_SEED, compute="sharded", shards=3)
     if (
-        _digest(batched.colors) != _digest(sharded.colors)
-        or batched.metrics.as_dict() != sharded.metrics.as_dict()
+        _digest(vec.colors) != _digest(sharded.colors)
+        or vec.metrics.as_dict() != sharded.metrics.as_dict()
     ):
-        raise RuntimeError("sharded tier diverged from batched on dima2ed n=5000")
+        raise RuntimeError("sharded tier diverged from vectorized on dima2ed n=5000")
     out["dima2ed"] = {"digest": _digest(sharded.colors), "n": 5_000, "identical": True}
     return out
 
 
 def run_sweep(smoke: bool, shards_override: Optional[Sequence[int]] = None) -> Dict[str, Any]:
-    print("correctness gate (sharded vs batched, n=5000) ...", flush=True)
+    print("correctness gate (sharded vs vectorized, n=5000) ...", flush=True)
     gate = correctness_gate()
     print("correctness gate OK", flush=True)
 

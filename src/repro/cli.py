@@ -70,6 +70,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.baselines import greedy_edge_coloring, misra_gries_edge_coloring
 from repro.errors import ConfigurationError
+from repro.core.batched import COMPUTE_MODES
 from repro.core.dima2ed import strong_color_arcs
 from repro.core.edge_coloring import color_edges
 from repro.graphs.export_dot import write_dot
@@ -252,7 +253,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
     )
     flame.add_argument(
         "--compute", default="auto",
-        choices=("auto", "pernode", "batched", "vectorized", "numba", "sharded"),
+        choices=COMPUTE_MODES,
         help="compute-core selection, as in color_edges (default auto)",
     )
     return parser

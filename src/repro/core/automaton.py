@@ -24,9 +24,9 @@ Subclasses override only the hooks; the phase plumbing, role coin, and
 reply routing are shared and tested once.
 
 This per-node formulation is the semantic reference.  For fault-free
-strict runs :mod:`repro.core.batched` re-implements both concrete
+strict runs :mod:`repro.core.vectorized` re-implements both concrete
 programs as structure-of-arrays kernels that step every node per
-superstep without materialising messages; the property suite pins them
+round without materialising messages; the property suite pins them
 bit-identical (same RNG draws, colorings, metrics, and telemetry), so
 any behaviour change here must be mirrored there.
 """

@@ -1,94 +1,58 @@
-"""Batched compute kernels — whole-population lockstep stepping.
+"""Compute-core dispatch for the whole-population kernels.
 
-The matching-discovery automaton is perfectly lockstep: in any given
-superstep every live node runs the *same* phase of the C/I/L/R/W/U/E/D
-machine.  The per-node programs pay Python dispatch, ``Invite``/
-``Reply``/``Report`` object churn and per-node set bookkeeping for that
-uniformity; the kernels here execute one superstep for the entire node
-population at once over structure-of-arrays state, so on the hot path a
-message is never a Python object at all.
+The matching-discovery automaton is lockstep: in every superstep every
+live node runs the same phase of the C/I/L/R/W/U/E/D machine, so one
+whole-population kernel family per algorithm executes it — the fused
+plane kernels of :mod:`repro.core.vectorized`, with a JIT subclass
+(:mod:`repro.core.kernels_numba`) and a disk-backed one
+(:mod:`repro.core.sharded`).  This module decides whether a run may use
+them and which one it gets:
 
-A kernel plugs into :class:`repro.runtime.engine.BatchedEngine`, which
-owns the loop, the metrics and the telemetry plumbing.  The protocol:
+* :func:`batched_eligible` — the gates (strict model, no faults,
+  transport, tracer, monitors or recovery extensions); anything else
+  runs the per-node programs, silently, with identical results;
+* :func:`select_backend` — which member of the family a ``compute``
+  mode names;
+* :func:`run_kernel` — build that kernel from one table keyed by
+  ``(algorithm, backend)``, run it on its engine and hand back the
+  assignments in the caller's labels.
 
-* ``bind(nbr_lists, rngs)`` — receive the CSR-derived sorted adjacency
-  rows and the per-node RNGs (``repro.runtime.rng`` streams, the same
-  ones the per-node engine hands each ``Context``); return the node ids
-  halted by ``on_init`` (isolated vertices).  ``work_total`` must be
-  valid afterwards.
-* ``step(superstep, live, collect)`` — run one superstep for the
-  ascending live list; return ``(senders, words_per_message,
-  halted_now, hist_items, transition_items, done_total)``.  ``senders``
-  are the ids that broadcast this superstep (each node sends at most one
-  message per superstep, and every payload of a given phase has the same
-  word size, so delivery metering needs no message objects).  The
-  telemetry items are ``None`` unless ``collect``.
-
-Bit-identity with the per-node programs is the design contract, not an
-approximation (the property suite pins it).  The load-bearing facts:
-
-* **RNG streams.**  Kernels call the *same* ``random.Random`` methods in
-  the same order as the programs: the role coin for every node the
-  program would flip it for, ``choice`` over sequences of identical
-  length at identical points (``random.Random.choice`` consumes entropy
-  even on singleton sequences, so no short-circuiting).
-* **Algorithm 1 needs no per-arc knowledge.**  Fault-free and strict,
-  every color a node consumes in round *r* is broadcast in its round-*r*
-  report and folded by all live neighbors at phase 3, so at every
-  phase 0 a node's model of its neighbor's used set *is* the neighbor's
-  used set.  The proposal "lowest color free at both ends per my
-  knowledge" collapses to ``lowest_free_bit(used[u] | used[partner])``
-  (see :func:`repro.core.palette.lowest_free_bit`).
-* **Stale-pairing guards are unreachable.**  The filters the per-node
-  programs apply against already-resolved partners (lost-reply repair)
-  cannot trigger under reliable delivery: both endpoints drop a pairing
-  in the same round, so the uncolored relations stay symmetric at every
-  round boundary.
-* **DiMa2Ed's neighbor model is shared.**  Reports are reliable local
-  broadcasts, so every live neighbor of ``v`` holds the *same* model of
-  ``v``'s struck channels; one advertised-removals mask per node
-  (``adv``), updated a round behind ``forbidden`` exactly like the
-  per-node ``_neighbor_removed``, reproduces every inviter's view.
-
-Colors are kept as arbitrary-precision int bitmasks (bit ``c`` set =
-color ``c`` consumed) rather than fixed-width arrays: DiMa2Ed's
-contention backoff can push channels past any fixed width, and Python
-bigint ``|``/``>>`` stay machine-word sized for every workload the paper
-considers.
-
-Gating (:func:`batched_eligible`) mirrors the fast delivery path's
-discipline and is strictly tighter: strict model, no fault plan, no
-transport, no tracer at all (a batched run emits no trace events, so
-even a sampled tracer would observe a different stream), and none of
-the defensive/recovery extensions.  Anything else silently selects the
-per-node loop — same results, just slower.
+Like networkx's ``bipartite_edge_coloring(strategy=...)``, one entry
+point takes a strategy string that selects exactly one implementation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import importlib
+from typing import Dict, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.palette import lowest_free_bit
+from repro.graphs.adjacency import Graph
+from repro.runtime.engine import BatchedEngine, RunResult
 
-__all__ = ["Alg1Kernel", "DiMa2EdKernel", "batched_eligible", "select_backend"]
+__all__ = ["COMPUTE_MODES", "batched_eligible", "run_kernel", "select_backend"]
 
-#: Word sizes of the three phase payloads (``Message.size`` of a
-#: broadcast carrying an Invite/Reply/Report dataclass: 2 header words
-#: plus one per field).  Constants because dataclass payload sizes are
-#: field-count based, independent of tuple contents.
-_INVITE_WORDS = 5
-_REPLY_WORDS = 5
-_REPORT_WORDS = 7
+#: The ``compute=`` values the algorithm wrappers accept.
+COMPUTE_MODES = ("auto", "vectorized", "numba", "sharded", "pernode")
 
-_COMPUTE_MODES = ("auto", "batched", "vectorized", "numba", "sharded", "pernode")
+#: ``(algorithm, backend) -> (module, kernel class)``.  Resolved on use,
+#: so importing the dispatch code pulls in no kernel module.
+_KERNELS: Dict[Tuple[str, str], Tuple[str, str]] = {
+    ("alg1", "vectorized"): ("repro.core.vectorized", "Alg1VecKernel"),
+    ("alg1", "numba"): ("repro.core.kernels_numba", "Alg1KernelNumba"),
+    ("alg1", "sharded"): ("repro.core.sharded", "Alg1ShardKernel"),
+    ("dima2ed", "vectorized"): ("repro.core.vectorized", "DiMa2EdVecKernel"),
+    ("dima2ed", "numba"): ("repro.core.kernels_numba", "DiMa2EdKernelNumba"),
+    ("dima2ed", "sharded"): ("repro.core.sharded", "DiMa2EdShardKernel"),
+}
 
 
 def select_backend(compute: str) -> str:
-    """Which kernel generation an *eligible* run should instantiate.
+    """Which kernel an *eligible* run should instantiate.
 
-    ``"batched"`` names the per-superstep bigint kernels in this module;
-    ``"vectorized"`` the fused plane kernels
+    ``"vectorized"`` names the fused plane kernels
     (:mod:`repro.core.vectorized`); ``"numba"`` the JIT backend
     (:mod:`repro.core.kernels_numba`), degrading silently to
     ``"vectorized"`` when numba is not importable — the fallback is part
@@ -99,12 +63,8 @@ def select_backend(compute: str) -> str:
     residency.  ``"auto"`` probes numba and otherwise takes the
     vectorized kernels.
     """
-    if compute == "batched":
-        return "batched"
-    if compute == "vectorized":
-        return "vectorized"
-    if compute == "sharded":
-        return "sharded"
+    if compute in ("vectorized", "sharded"):
+        return compute
     from repro.core.kernels_numba import numba_available
 
     return "numba" if numba_available() else "vectorized"
@@ -122,23 +82,27 @@ def batched_eligible(
     defensive: bool = False,
     monitors: object = None,
 ) -> bool:
-    """Whether the algorithm wrappers may select a batched kernel.
+    """Whether the algorithm wrappers may select a whole-population kernel.
 
-    ``compute`` is the wrapper knob: ``"auto"`` (fastest eligible
-    kernel), ``"batched"``/``"vectorized"``/``"numba"`` (pin a kernel
-    generation — same gates, and ineligible configurations still fall
-    back silently to the per-node loop, results identical either way)
-    and ``"pernode"`` (never batched; the benchmarks use it to measure
-    the per-node cores).  Unknown modes raise regardless of the other
-    arguments.  Which generation an eligible run instantiates is
-    :func:`select_backend`'s decision.
-    Invariant monitors (``monitors``) force the per-node path: they
-    audit the reference engine's per-superstep world, which the batched
-    core does not materialize.
+    ``compute`` is the wrapper knob, one of :data:`COMPUTE_MODES`:
+    ``"auto"`` (fastest eligible kernel), ``"vectorized"``/``"numba"``/
+    ``"sharded"`` (pin a kernel — same gates, and ineligible
+    configurations still fall back silently to the per-node loop,
+    results identical either way) and ``"pernode"`` (never a kernel;
+    the benchmarks use it to measure the per-node cores).  Unknown modes
+    raise regardless of the other arguments.  Which kernel an eligible
+    run instantiates is :func:`select_backend`'s decision.
+
+    The gates mirror the fast delivery path's discipline and are
+    strictly tighter: no tracer at all (a kernel run emits no trace
+    events, so even a sampled tracer would observe a different stream),
+    and none of the defensive/recovery extensions.  Invariant monitors
+    force the per-node path too: they audit the reference engine's
+    per-superstep world, which the kernels do not materialize.
     """
-    if compute not in _COMPUTE_MODES:
+    if compute not in COMPUTE_MODES:
         raise ConfigurationError(
-            f"compute must be one of {_COMPUTE_MODES}, got {compute!r}"
+            f"compute must be one of {COMPUTE_MODES}, got {compute!r}"
         )
     if compute == "pernode":
         return False
@@ -154,548 +118,55 @@ def batched_eligible(
     )
 
 
-def _two_states(
-    first_in_a: bool, state_a: str, count_a: int, state_b: str, count_b: int
-) -> List[Tuple[str, int]]:
-    """Histogram items for a two-group state partition.
+def run_kernel(
+    algorithm: str,
+    backend: str,
+    work: Graph,
+    inverse: Dict[int, int],
+    kernel_args: Dict[str, object],
+    *,
+    seed: int,
+    max_supersteps: int,
+    telemetry=None,
+    profiler=None,
+    publisher=None,
+    shards: int = 4,
+    spill_dir=None,
+) -> Tuple[RunResult, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run ``algorithm`` on ``backend``'s kernel over ``work``.
 
-    Ordered by the per-node loop's first-occurrence rule: the group of
-    the lowest live node leads.  Empty groups are dropped (the per-node
-    histogram never holds a zero count).
+    ``work`` carries contiguous ids; ``inverse`` maps them back to the
+    caller's labels.  ``kernel_args`` go to the kernel constructor.
+    ``shards`` and ``spill_dir`` configure the sharded backend only.
+    Returns ``(run, (s, t, c))``: the engine's result and one
+    ``(source, target, color)`` record per colored edge or arc, in
+    acceptance order, with ``s``/``t`` in the caller's labels.
     """
-    if first_in_a:
-        items = [(state_a, count_a), (state_b, count_b)]
+    module, name = _KERNELS[(algorithm, backend)]
+    kernel = getattr(importlib.import_module(module), name)(**kernel_args)
+    engine_args = dict(
+        seed=seed,
+        max_supersteps=max_supersteps,
+        telemetry=telemetry,
+        profiler=profiler,
+        publisher=publisher,
+    )
+    if backend == "sharded":
+        from repro.runtime.sharded import ShardedEngine
+
+        engine = ShardedEngine(
+            work, kernel, num_shards=shards, spill_dir=spill_dir, **engine_args
+        )
+        try:
+            # Assignments land in resident arrays, so the spill files
+            # can go as soon as the run ends.
+            run = engine.run()
+        finally:
+            engine.close()
     else:
-        items = [(state_b, count_b), (state_a, count_a)]
-    return [item for item in items if item[1]]
-
-
-def _two_transitions(
-    first_in_a: bool,
-    trans_a: Tuple[str, str, int],
-    trans_b: Tuple[str, str, int],
-) -> List[Tuple[str, str, int]]:
-    """Transition items for a two-group partition, first-occurrence ordered."""
-    items = [trans_a, trans_b] if first_in_a else [trans_b, trans_a]
-    return [item for item in items if item[2]]
-
-
-class Alg1Kernel:
-    """Batched Algorithm 1 (edge coloring), bit-identical to
-    :class:`repro.core.edge_coloring.EdgeColoringProgram` under the
-    gates of :func:`batched_eligible`.
-
-    Per-node state is four parallel structures: the sorted uncolored
-    partner list (mutated exactly like the program's ``_uncolored`` so
-    ``rng.choice`` sees identical sequences), a used-colors bitmask, the
-    role byte and this round's proposal ``(target, color)``.  Accepted
-    pairings land in :attr:`assignments` as ``(inviter, listener,
-    color)`` — one record per edge, which is all the wrapper needs.
-    """
-
-    COLOR_STRATEGIES = ("lowest", "random_window")
-    RESPONDER_STRATEGIES = ("random", "lowest_color")
-
-    def __init__(
-        self,
-        *,
-        p_invite: float = 0.5,
-        color_strategy: str = "lowest",
-        responder_strategy: str = "random",
-    ) -> None:
-        if not 0.0 <= p_invite <= 1.0:
-            raise ConfigurationError(f"p_invite must be in [0, 1], got {p_invite}")
-        if color_strategy not in self.COLOR_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown color_strategy {color_strategy!r}; "
-                f"expected one of {self.COLOR_STRATEGIES}"
-            )
-        if responder_strategy not in self.RESPONDER_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown responder_strategy {responder_strategy!r}; "
-                f"expected one of {self.RESPONDER_STRATEGIES}"
-            )
-        self.p_invite = p_invite
-        self.color_strategy = color_strategy
-        self.responder_strategy = responder_strategy
-        #: (inviter, listener, color) per colored edge, acceptance order.
-        self.assignments: List[Tuple[int, int, int]] = []
-        self.work_total = 0
-
-    def bind(self, nbr_lists: Sequence[List[int]], rngs) -> List[int]:
-        n = len(nbr_lists)
-        # Bound methods hoisted once: the hot loops then pay one list
-        # index per draw instead of two attribute lookups.
-        self._rngs = list(rngs)
-        self._rand = [rng.random for rng in self._rngs]
-        self._choice = [rng.choice for rng in self._rngs]
-        self._uncolored: List[List[int]] = [list(row) for row in nbr_lists]
-        self._used = [0] * n
-        self._is_inviter = bytearray(n)
-        self._inv_target = [0] * n
-        self._inv_color = [0] * n
-        #: listener -> inviter ids targeting it, ascending (inbox order).
-        self._mine: Dict[int, List[int]] = {}
-        self._accepts: List[Tuple[int, int, int]] = []
-        self._inviter_count = 0
-        self._first_is_inviter = False
-        self._done = 0
-        self.work_total = sum(len(row) for row in nbr_lists)
-        return [u for u in range(n) if not nbr_lists[u]]
-
-    # Copy/pickle support (checkpointing): the hoisted bound methods
-    # must not travel — a C-level ``rng.random`` survives deepcopy *by
-    # reference* (still bound to the source run's RNG) while the
-    # Python-level ``rng.choice`` is copied, silently splitting one
-    # stream into two.  Drop them and rebind from the copied RNGs.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_rand", None)
-        state.pop("_choice", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if "_rngs" in state:
-            self._rand = [rng.random for rng in self._rngs]
-            self._choice = [rng.choice for rng in self._rngs]
-
-    def step(self, superstep: int, live: List[int], collect: bool):
-        phase = superstep & 3
-        if phase == 0:
-            return self._phase_choose(live, collect)
-        if phase == 1:
-            return self._phase_respond(live, collect)
-        if phase == 2:
-            return self._phase_update(live, collect)
-        return self._phase_exchange(live, collect)
-
-    def _phase_choose(self, live: List[int], collect: bool):
-        mine = self._mine
-        mine.clear()
-        rand = self._rand
-        choice = self._choice
-        uncolored = self._uncolored
-        used = self._used
-        is_inv = self._is_inviter
-        inv_target = self._inv_target
-        inv_color = self._inv_color
-        p = self.p_invite
-        lowest = self.color_strategy == "lowest"
-        senders: List[int] = []
-        append = senders.append
-        for u in live:
-            if rand[u]() < p:
-                partner = choice[u](uncolored[u])
-                taken = used[u] | used[partner]
-                if lowest:
-                    color = lowest_free_bit(taken)
-                else:
-                    # high == max(taken set, default=-1) + 1, as a mask op.
-                    high = taken.bit_length()
-                    color = choice[u](
-                        [c for c in range(high + 1) if not taken >> c & 1]
-                    )
-                is_inv[u] = 1
-                inv_target[u] = partner
-                inv_color[u] = color
-                append(u)
-                box = mine.get(partner)
-                if box is None:
-                    box = mine[partner] = []
-                box.append(u)
-            else:
-                is_inv[u] = 0
-        self._inviter_count = ni = len(senders)
-        self._first_is_inviter = first = bool(is_inv[live[0]])
-        hist = trans = None
-        if collect:
-            hist = _two_states(first, "W", ni, "L", len(live) - ni)
-            trans = [("C", state, count) for state, count in hist]
-        return senders, _INVITE_WORDS, (), hist, trans, self._done
-
-    def _phase_respond(self, live: List[int], collect: bool):
-        accepts = self._accepts
-        accepts.clear()
-        senders: List[int] = []
-        is_inv = self._is_inviter
-        choice = self._choice
-        inv_color = self._inv_color
-        uncolored = self._uncolored
-        used = self._used
-        assignments = self.assignments
-        lowest_resp = self.responder_strategy == "lowest_color"
-        for t in sorted(self._mine):
-            if is_inv[t]:
-                continue  # inviters sit in W while invitations travel
-            box = self._mine[t]
-            if lowest_resp:
-                best = min(inv_color[s] for s in box)
-                box = [s for s in box if inv_color[s] == best]
-            s = choice[t](box)
-            color = inv_color[s]
-            accepts.append((s, t, color))
-            senders.append(t)
-            uncolored[t].remove(s)
-            used[t] |= 1 << color
-            assignments.append((s, t, color))
-        self._done += len(accepts)
-        hist = trans = None
-        if collect:
-            ni = self._inviter_count
-            first = self._first_is_inviter
-            hist = _two_states(first, "W", ni, "U", len(live) - ni)
-            trans = _two_transitions(
-                first, ("W", "W", ni), ("L", "U", len(live) - ni)
-            )
-        return senders, _REPLY_WORDS, (), hist, trans, self._done
-
-    def _phase_update(self, live: List[int], collect: bool):
-        uncolored = self._uncolored
-        used = self._used
-        reporters: List[int] = []
-        for s, t, color in self._accepts:
-            uncolored[s].remove(t)
-            used[s] |= 1 << color
-            reporters.append(s)
-            reporters.append(t)
-        # A node colors at most one edge per round, so reporters (nodes
-        # with a fresh delta) are exactly this round's accept endpoints.
-        reporters.sort()
-        self._done += len(self._accepts)
-        hist = trans = None
-        if collect:
-            ni = self._inviter_count
-            first = self._first_is_inviter
-            hist = [("E", len(live))]
-            trans = _two_transitions(
-                first, ("W", "E", ni), ("U", "E", len(live) - ni)
-            )
-        return reporters, _REPORT_WORDS, (), hist, trans, self._done
-
-    def _phase_exchange(self, live: List[int], collect: bool):
-        # Report folding is a no-op here: neighbor knowledge is never
-        # materialized (see the module docstring's invariant).  Only
-        # halting remains, and candidates are this round's accept
-        # endpoints — no other node's uncolored list changed.
-        uncolored = self._uncolored
-        candidates = set()
-        for s, t, _ in self._accepts:
-            if not uncolored[s]:
-                candidates.add(s)
-            if not uncolored[t]:
-                candidates.add(t)
-        halted = sorted(candidates)
-        is_inv = self._is_inviter
-        for h in halted:
-            is_inv[h] = 0
-        hist = trans = None
-        if collect:
-            nh = len(halted)
-            first_halts = nh > 0 and halted[0] == live[0]
-            hist = _two_states(first_halts, "D", nh, "C", len(live) - nh)
-            trans = [("E", state, count) for state, count in hist]
-        return (), 0, halted, hist, trans, self._done
-
-
-class DiMa2EdKernel:
-    """Batched DiMa2Ed (strong arc coloring), bit-identical to
-    :class:`repro.core.dima2ed.DiMa2EdProgram` under the gates of
-    :func:`batched_eligible`.
-
-    Beyond Algorithm 1's structures this tracks, per node: the struck-
-    channel mask (``forbidden``), the *advertised* struck mask (``adv``
-    — what the node has reported so far, i.e. every neighbor's model of
-    it; it lags ``forbidden`` by the report cycle exactly like the
-    per-node ``_neighbor_removed``), the fresh-colored/fresh-removed
-    delta masks with a ``dirty`` set of nodes holding a nonzero delta
-    (the round's reporters, without scanning the population), and the
-    contention fail streak.  Accepted arcs land in
-    :attr:`arc_assignments` as ``(tail, head, channel)``.
-    """
-
-    CHANNEL_STRATEGIES = ("first_fit", "random_window")
-    BASE_WINDOW = 4
-    BACKOFF_GRACE = 3
-    MAX_BACKOFF = 64
-
-    def __init__(
-        self, *, p_invite: float = 0.5, channel_strategy: str = "random_window"
-    ) -> None:
-        if not 0.0 <= p_invite <= 1.0:
-            raise ConfigurationError(f"p_invite must be in [0, 1], got {p_invite}")
-        if channel_strategy not in self.CHANNEL_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown channel_strategy {channel_strategy!r}; "
-                f"expected one of {self.CHANNEL_STRATEGIES}"
-            )
-        self.p_invite = p_invite
-        self.channel_strategy = channel_strategy
-        #: (tail, head, channel) per colored arc, acceptance order.
-        self.arc_assignments: List[Tuple[int, int, int]] = []
-        self.work_total = 0
-
-    def bind(self, nbr_lists: Sequence[List[int]], rngs) -> List[int]:
-        n = len(nbr_lists)
-        self._nbr = nbr_lists
-        self._rngs = list(rngs)
-        self._rand = [rng.random for rng in self._rngs]
-        self._choice = [rng.choice for rng in self._rngs]
-        # On the symmetric digraphs DiMa2Ed is specified for, both arc
-        # directions share the undirected adjacency row (sorted, exactly
-        # the program's sorted out/in-neighbor lists).
-        self._out: List[List[int]] = [list(row) for row in nbr_lists]
-        self._in: List[List[int]] = [list(row) for row in nbr_lists]
-        self._forbidden = [0] * n
-        self._adv = [0] * n
-        self._fresh_colored = [0] * n
-        self._fresh_removed = [0] * n
-        self._dirty: set = set()
-        self._fail_streak = [0] * n
-        self._is_inviter = bytearray(n)
-        self._inv_target = [0] * n
-        self._inv_color = [0] * n
-        self._live = bytearray(n)
-        self._mine: Dict[int, List[int]] = {}
-        self._accepts: List[Tuple[int, int, int]] = []
-        self._round_inviters: List[int] = []
-        #: (reporter, colored mask, removed mask) captured at phase 2.
-        self._reports: List[Tuple[int, int, int]] = []
-        self._inviter_count = 0
-        self._first_is_inviter = False
-        self._done = 0
-        self.work_total = 2 * sum(len(row) for row in nbr_lists)
-        halted = []
-        for u in range(n):
-            if nbr_lists[u]:
-                self._live[u] = 1
-            else:
-                halted.append(u)
-        return halted
-
-    # Same copy/pickle contract as Alg1Kernel: drop the hoisted bound
-    # methods (a C-level one would stay aliased to the source RNGs) and
-    # rebind them from the copied streams.
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_rand", None)
-        state.pop("_choice", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if "_rngs" in state:
-            self._rand = [rng.random for rng in self._rngs]
-            self._choice = [rng.choice for rng in self._rngs]
-
-    def step(self, superstep: int, live: List[int], collect: bool):
-        phase = superstep & 3
-        if phase == 0:
-            return self._phase_choose(live, collect)
-        if phase == 1:
-            return self._phase_respond(live, collect)
-        if phase == 2:
-            return self._phase_update(live, collect)
-        return self._phase_exchange(live, collect)
-
-    def _backoff(self, streak: int) -> int:
-        past_grace = streak - self.BACKOFF_GRACE
-        if past_grace < 0:
-            return 0
-        return min(self.MAX_BACKOFF, 2**past_grace)
-
-    def _phase_choose(self, live: List[int], collect: bool):
-        mine = self._mine
-        mine.clear()
-        rand = self._rand
-        choice = self._choice
-        out = self._out
-        forbidden = self._forbidden
-        adv = self._adv
-        fail_streak = self._fail_streak
-        is_inv = self._is_inviter
-        inv_target = self._inv_target
-        inv_color = self._inv_color
-        p = self.p_invite
-        first_fit = self.channel_strategy == "first_fit"
-        base_window = self.BASE_WINDOW
-        senders: List[int] = []
-        append = senders.append
-        for u in live:
-            out_u = out[u]
-            # Idle inviters: no uncolored outgoing arc -> no role coin
-            # (can_invite short-circuits the rng draw in the program).
-            if not out_u or rand[u]() >= p:
-                is_inv[u] = 0
-                continue
-            partner = choice[u](out_u)
-            mask = forbidden[u] | adv[partner]
-            if first_fit:
-                channel = lowest_free_bit(mask)
-            else:
-                window = base_window + self._backoff(fail_streak[u])
-                candidates: List[int] = []
-                c = 0
-                while len(candidates) < window:
-                    if not mask >> c & 1:
-                        candidates.append(c)
-                    c += 1
-                channel = choice[u](candidates)
-            is_inv[u] = 1
-            inv_target[u] = partner
-            inv_color[u] = channel
-            append(u)
-            box = mine.get(partner)
-            if box is None:
-                box = mine[partner] = []
-            box.append(u)
-        self._round_inviters = senders
-        self._inviter_count = ni = len(senders)
-        self._first_is_inviter = first = bool(is_inv[live[0]])
-        hist = trans = None
-        if collect:
-            hist = _two_states(first, "W", ni, "L", len(live) - ni)
-            trans = [("C", state, count) for state, count in hist]
-        return senders, _INVITE_WORDS, (), hist, trans, self._done
-
-    def _phase_respond(self, live: List[int], collect: bool):
-        accepts = self._accepts
-        accepts.clear()
-        senders: List[int] = []
-        nbr = self._nbr
-        is_inv = self._is_inviter
-        choice = self._choice
-        inv_target = self._inv_target
-        inv_color = self._inv_color
-        forbidden = self._forbidden
-        fresh_colored = self._fresh_colored
-        fresh_removed = self._fresh_removed
-        dirty = self._dirty
-        in_unc = self._in
-        arc_assignments = self.arc_assignments
-        for t in sorted(self._mine):
-            if is_inv[t]:
-                continue
-            box = self._mine[t]
-            # Procedure 2-b's collision filter: channels of overheard
-            # proposals (inviting neighbors targeting someone else) are
-            # unusable this round.  Computed by pulling the phase-0 role
-            # arrays instead of materializing overheard invite objects.
-            overheard = 0
-            for v in nbr[t]:
-                if is_inv[v] and inv_target[v] != t:
-                    overheard |= 1 << inv_color[v]
-            bad = forbidden[t] | overheard
-            usable = [s for s in box if not bad >> inv_color[s] & 1]
-            if not usable:
-                continue
-            s = choice[t](usable)
-            channel = inv_color[s]
-            accepts.append((s, t, channel))
-            senders.append(t)
-            arc_assignments.append((s, t, channel))
-            in_unc[t].remove(s)
-            bit = 1 << channel
-            fresh_colored[t] |= bit
-            if not forbidden[t] & bit:
-                forbidden[t] |= bit
-                fresh_removed[t] |= bit
-            dirty.add(t)
-        self._done += len(accepts)
-        hist = trans = None
-        if collect:
-            ni = self._inviter_count
-            first = self._first_is_inviter
-            hist = _two_states(first, "W", ni, "U", len(live) - ni)
-            trans = _two_transitions(
-                first, ("W", "W", ni), ("L", "U", len(live) - ni)
-            )
-        return senders, _REPLY_WORDS, (), hist, trans, self._done
-
-    def _phase_update(self, live: List[int], collect: bool):
-        out = self._out
-        forbidden = self._forbidden
-        fresh_colored = self._fresh_colored
-        fresh_removed = self._fresh_removed
-        dirty = self._dirty
-        for s, t, channel in self._accepts:
-            out[s].remove(t)
-            bit = 1 << channel
-            fresh_colored[s] |= bit
-            if not forbidden[s] & bit:
-                forbidden[s] |= bit
-                fresh_removed[s] |= bit
-            dirty.add(s)
-        # Reporters are the nodes holding a nonzero fresh delta; capture
-        # their report payloads now (they are applied at phase 3, a
-        # round-trip the per-node path takes through real messages).
-        reporters = sorted(dirty)
-        reports = self._reports
-        reports.clear()
-        for v in reporters:
-            reports.append((v, fresh_colored[v], fresh_removed[v]))
-            fresh_colored[v] = 0
-            fresh_removed[v] = 0
-        dirty.clear()
-        self._done += len(self._accepts)
-        hist = trans = None
-        if collect:
-            ni = self._inviter_count
-            first = self._first_is_inviter
-            hist = [("E", len(live))]
-            trans = _two_transitions(
-                first, ("W", "E", ni), ("U", "E", len(live) - ni)
-            )
-        return reporters, _REPORT_WORDS, (), hist, trans, self._done
-
-    def _phase_exchange(self, live: List[int], collect: bool):
-        nbr = self._nbr
-        forbidden = self._forbidden
-        fresh_removed = self._fresh_removed
-        dirty = self._dirty
-        adv = self._adv
-        live_flag = self._live
-        for v, colored_mask, removed_mask in self._reports:
-            # The sender's advertised mask catches up to what it just
-            # broadcast; inviters read it next phase 0.
-            adv[v] |= removed_mask
-            if colored_mask:
-                # One-hop constraint: channels on the reporter's arcs
-                # are struck at every live neighbor; newly struck ones
-                # join the neighbor's own next report.
-                for u in nbr[v]:
-                    if live_flag[u]:
-                        new = colored_mask & ~forbidden[u]
-                        if new:
-                            forbidden[u] |= new
-                            fresh_removed[u] |= new
-                            dirty.add(u)
-        accepts = self._accepts
-        succeeded = {s for s, _, _ in accepts} if accepts else ()
-        fail_streak = self._fail_streak
-        for u in self._round_inviters:
-            if u in succeeded:
-                fail_streak[u] = 0
-            else:
-                fail_streak[u] += 1
-        out = self._out
-        in_unc = self._in
-        candidates = set()
-        for s, t, _ in accepts:
-            if not out[s] and not in_unc[s]:
-                candidates.add(s)
-            if not out[t] and not in_unc[t]:
-                candidates.add(t)
-        halted = sorted(candidates)
-        is_inv = self._is_inviter
-        for h in halted:
-            live_flag[h] = 0
-            is_inv[h] = 0  # halted nodes must not look like inviters later
-            dirty.discard(h)  # a halted node never reports its tail delta
-        hist = trans = None
-        if collect:
-            nh = len(halted)
-            first_halts = nh > 0 and halted[0] == live[0]
-            hist = _two_states(first_halts, "D", nh, "C", len(live) - nh)
-            trans = [("E", state, count) for state, count in hist]
-        return (), 0, halted, hist, trans, self._done
+        run = BatchedEngine(work, kernel, **engine_args).run()
+    s_arr, t_arr, c_arr = kernel.assignment_arrays()
+    inv_map = np.empty(max(work.num_nodes, 1), dtype=np.int64)
+    for new, old in inverse.items():
+        inv_map[new] = old
+    return run, (inv_map[s_arr], inv_map[t_arr], c_arr)

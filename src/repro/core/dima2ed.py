@@ -56,8 +56,7 @@ from repro.errors import (
 )
 from repro.core._coerce import coerce_digraph, relabel_for_engine
 from repro.core.automaton import MatchingAutomatonProgram
-from repro.core.batched import DiMa2EdKernel, batched_eligible, select_backend
-from repro.core.vectorized import DiMa2EdVecKernel
+from repro.core.batched import batched_eligible, run_kernel, select_backend
 from repro.core.edge_coloring import (
     _application_supersteps,
     _resolve_transport,
@@ -67,7 +66,7 @@ from repro.core.messages import Invite, Reply, Report
 from repro.core.palette import first_free
 from repro.core.states import PHASES_PER_ROUND
 from repro.graphs.adjacency import DiGraph
-from repro.runtime.engine import BatchedEngine, RunResult, SynchronousEngine
+from repro.runtime.engine import RunResult, SynchronousEngine
 from repro.runtime.faults import MessageFilter
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.node import Context, NodeProgram
@@ -530,59 +529,23 @@ def strong_color_arcs(
         recovery=params.recovery,
         monitors=monitors,
     ):
-        backend = select_backend(compute)
-        if backend == "batched":
-            kernel = DiMa2EdKernel(
+        run, (s_arr, t_arr, c_arr) = run_kernel(
+            "dima2ed",
+            select_backend(compute),
+            work,
+            inverse,
+            dict(
                 p_invite=params.p_invite,
                 channel_strategy=params.channel_strategy,
-            )
-        elif backend == "numba":
-            from repro.core.kernels_numba import DiMa2EdKernelNumba
-
-            kernel = DiMa2EdKernelNumba(
-                p_invite=params.p_invite,
-                channel_strategy=params.channel_strategy,
-            )
-        elif backend == "sharded":
-            from repro.core.sharded import DiMa2EdShardKernel
-
-            kernel = DiMa2EdShardKernel(
-                p_invite=params.p_invite,
-                channel_strategy=params.channel_strategy,
-            )
-        else:
-            kernel = DiMa2EdVecKernel(
-                p_invite=params.p_invite,
-                channel_strategy=params.channel_strategy,
-            )
-        if backend == "sharded":
-            from repro.runtime.sharded import ShardedEngine
-
-            engine = ShardedEngine(
-                work,
-                kernel,
-                num_shards=shards,
-                spill_dir=spill_dir,
-                seed=seed,
-                max_supersteps=budget_rounds * PHASES_PER_ROUND,
-                telemetry=telemetry,
-                profiler=profiler,
-                publisher=publisher,
-            )
-            try:
-                run = engine.run()
-            finally:
-                engine.close()
-        else:
-            run = BatchedEngine(
-                work,
-                kernel,
-                seed=seed,
-                max_supersteps=budget_rounds * PHASES_PER_ROUND,
-                telemetry=telemetry,
-                profiler=profiler,
-                publisher=publisher,
-            ).run()
+            ),
+            seed=seed,
+            max_supersteps=budget_rounds * PHASES_PER_ROUND,
+            telemetry=telemetry,
+            profiler=profiler,
+            publisher=publisher,
+            shards=shards,
+            spill_dir=spill_dir,
+        )
         if not run.completed:
             raise ConvergenceError(
                 f"strong coloring did not terminate within {budget_rounds} "
@@ -591,23 +554,7 @@ def strong_color_arcs(
             )
         # One record per arc (head-side acceptance), so tail/head
         # consistency holds by construction.
-        arrays = getattr(kernel, "assignment_arrays", None)
-        if arrays is not None:
-            s_arr, t_arr, c_arr = arrays()
-            inv_map = np.empty(max(work.num_nodes, 1), dtype=np.int64)
-            for new, old in inverse.items():
-                inv_map[new] = old
-            colors = dict(
-                zip(
-                    zip(inv_map[s_arr].tolist(), inv_map[t_arr].tolist()),
-                    c_arr.tolist(),
-                )
-            )
-        else:
-            colors = {
-                (inverse[tail], inverse[head]): channel
-                for tail, head, channel in kernel.arc_assignments
-            }
+        colors = dict(zip(zip(s_arr.tolist(), t_arr.tolist()), c_arr.tolist()))
         return StrongColoringResult(
             colors=colors,
             rounds=math.ceil(run.supersteps / PHASES_PER_ROUND),

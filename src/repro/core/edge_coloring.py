@@ -36,13 +36,12 @@ import numpy as np
 from repro.errors import ConfigurationError, ConvergenceError, VerificationError
 from repro.core._coerce import coerce_graph, relabel_for_engine
 from repro.core.automaton import MatchingAutomatonProgram
-from repro.core.batched import Alg1Kernel, batched_eligible, select_backend
-from repro.core.vectorized import Alg1VecKernel
+from repro.core.batched import batched_eligible, run_kernel, select_backend
 from repro.core.messages import Invite, Reply, Report
 from repro.core.palette import ColorLedger, first_free
 from repro.core.states import PHASES_PER_ROUND
 from repro.graphs.adjacency import Graph
-from repro.runtime.engine import BatchedEngine, RunResult, SynchronousEngine
+from repro.runtime.engine import RunResult, SynchronousEngine
 from repro.runtime.faults import MessageFilter
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.node import Context, NodeProgram
@@ -560,16 +559,15 @@ def color_edges(
         Compute-core selection: ``"auto"`` (default) runs the fastest
         whole-population kernel whenever the configuration is eligible
         — strict model, no faults/transport/tracer, paper-mode params —
-        and the per-node programs otherwise.  ``"batched"`` pins the
-        per-superstep bigint kernel (:mod:`repro.core.batched`),
-        ``"vectorized"`` the fused plane kernel
-        (:mod:`repro.core.vectorized`), ``"numba"`` the JIT backend
-        (:mod:`repro.core.kernels_numba`; silently the vectorized
-        kernel when numba is absent), ``"sharded"`` the disk-backed
-        memory-bounded tier (:mod:`repro.runtime.sharded`; opt-in only
-        — never chosen by ``"auto"``) — all under the same gates, with
-        ineligible configurations falling back silently; ``"pernode"``
-        never batches.  Results are bit-identical across every mode.
+        and the per-node programs otherwise.  ``"vectorized"`` pins the
+        fused plane kernel (:mod:`repro.core.vectorized`), ``"numba"``
+        the JIT backend (:mod:`repro.core.kernels_numba`; silently the
+        vectorized kernel when numba is absent), ``"sharded"`` the
+        disk-backed memory-bounded tier (:mod:`repro.runtime.sharded`;
+        opt-in only — never chosen by ``"auto"``) — all under the same
+        gates, with ineligible configurations falling back silently;
+        ``"pernode"`` never uses a kernel.  Results are bit-identical
+        across every mode (:data:`repro.core.batched.COMPUTE_MODES`).
     monitors:
         Optional runtime invariant monitors
         (:mod:`repro.verify.monitors`); a monitored run executes on the
@@ -619,65 +617,24 @@ def color_edges(
         defensive=params.defensive,
         monitors=monitors,
     ):
-        backend = select_backend(compute)
-        if backend == "batched":
-            kernel = Alg1Kernel(
+        run, (s_arr, t_arr, c_arr) = run_kernel(
+            "alg1",
+            select_backend(compute),
+            work,
+            inverse,
+            dict(
                 p_invite=params.p_invite,
                 color_strategy=params.color_strategy,
                 responder_strategy=params.responder_strategy,
-            )
-        elif backend == "numba":
-            from repro.core.kernels_numba import Alg1KernelNumba
-
-            kernel = Alg1KernelNumba(
-                p_invite=params.p_invite,
-                color_strategy=params.color_strategy,
-                responder_strategy=params.responder_strategy,
-            )
-        elif backend == "sharded":
-            from repro.core.sharded import Alg1ShardKernel
-
-            kernel = Alg1ShardKernel(
-                p_invite=params.p_invite,
-                color_strategy=params.color_strategy,
-                responder_strategy=params.responder_strategy,
-            )
-        else:
-            kernel = Alg1VecKernel(
-                p_invite=params.p_invite,
-                color_strategy=params.color_strategy,
-                responder_strategy=params.responder_strategy,
-            )
-        if backend == "sharded":
-            from repro.runtime.sharded import ShardedEngine
-
-            engine = ShardedEngine(
-                work,
-                kernel,
-                num_shards=shards,
-                spill_dir=spill_dir,
-                seed=seed,
-                max_supersteps=budget_rounds * PHASES_PER_ROUND,
-                telemetry=telemetry,
-                profiler=profiler,
-                publisher=publisher,
-            )
-            try:
-                # Assignments land in resident arrays, so the spill
-                # files can go as soon as the run ends.
-                run = engine.run()
-            finally:
-                engine.close()
-        else:
-            run = BatchedEngine(
-                work,
-                kernel,
-                seed=seed,
-                max_supersteps=budget_rounds * PHASES_PER_ROUND,
-                telemetry=telemetry,
-                profiler=profiler,
-                publisher=publisher,
-            ).run()
+            ),
+            seed=seed,
+            max_supersteps=budget_rounds * PHASES_PER_ROUND,
+            telemetry=telemetry,
+            profiler=profiler,
+            publisher=publisher,
+            shards=shards,
+            spill_dir=spill_dir,
+        )
         if not run.completed:
             raise ConvergenceError(
                 f"edge coloring did not terminate within {budget_rounds} rounds "
@@ -685,24 +642,11 @@ def color_edges(
                 rounds=budget_rounds,
             )
         # One record per edge (the kernel writes each pairing once), so
-        # endpoint consistency holds by construction.
-        arrays = getattr(kernel, "assignment_arrays", None)
-        if arrays is not None:
-            # Array-native export: translate ids and canonicalize edges
-            # in bulk instead of per-record Python tuple work.
-            s_arr, t_arr, c_arr = arrays()
-            inv_map = np.empty(max(work.num_nodes, 1), dtype=np.int64)
-            for new, old in inverse.items():
-                inv_map[new] = old
-            su, tu = inv_map[s_arr], inv_map[t_arr]
-            lo = np.minimum(su, tu)
-            hi = np.maximum(su, tu)
-            colors = dict(zip(zip(lo.tolist(), hi.tolist()), c_arr.tolist()))
-        else:
-            colors = {
-                canonical_edge(inverse[s], inverse[t]): c
-                for s, t, c in kernel.assignments
-            }
+        # endpoint consistency holds by construction; canonicalize the
+        # edges in bulk instead of per-record Python tuple work.
+        lo = np.minimum(s_arr, t_arr)
+        hi = np.maximum(s_arr, t_arr)
+        colors = dict(zip(zip(lo.tolist(), hi.tolist()), c_arr.tolist()))
         return EdgeColoringResult(
             colors=colors,
             rounds=math.ceil(run.supersteps / PHASES_PER_ROUND),

@@ -44,20 +44,22 @@ from typing import List
 
 import numpy as np
 
-from repro.core.batched import (
-    _INVITE_WORDS,
-    _REPLY_WORDS,
-    _REPORT_WORDS,
-    _two_states,
-    _two_transitions,
-)
 from repro.core.palette import (
     grow_planes,
     plane_words,
     planes_bit_length,
     planes_popcount,
 )
-from repro.core.vectorized import Alg1VecKernel, DiMa2EdVecKernel, PhaseRecord
+from repro.core.vectorized import (
+    _INVITE_WORDS,
+    _REPLY_WORDS,
+    _REPORT_WORDS,
+    Alg1VecKernel,
+    DiMa2EdVecKernel,
+    PhaseRecord,
+    _two_states,
+    _two_transitions,
+)
 
 __all__ = ["numba_available", "Alg1KernelNumba", "DiMa2EdKernelNumba"]
 

@@ -50,12 +50,11 @@ def first_free(*consumed: Iterable[int]) -> int:
 
 # -- bitmask palettes ------------------------------------------------------
 #
-# The batched compute core (repro.core.batched) keeps every consumed-color
-# set as an arbitrary-precision Python int: bit c set means color c is
-# taken.  Union is ``|``, membership is ``mask >> c & 1``, and the paper's
-# "lowest live color" query is a single arithmetic identity instead of a
-# scan.  With at most 2Δ−1 colors in play the masks stay machine-word
-# sized for every workload the paper considers.
+# A consumed-color set as an arbitrary-precision Python int: bit c set
+# means color c is taken.  Union is ``|``, membership is ``mask >> c & 1``,
+# and the paper's "lowest live color" query is a single arithmetic
+# identity instead of a scan.  These scalar forms are the reference the
+# plane operations below are tested against.
 
 
 def mask_of(colors: Iterable[int]) -> int:

@@ -20,7 +20,7 @@ re-house all three behind the shard layout of
   row-start array for ``indptr``.  **Every phase method is inherited
   unchanged** — the phase logic only ever reads row *starts* and only
   ever touches flat arrays through gather/scatter — which is what
-  makes the tier bit-identical to the batched/vectorized tiers by
+  makes the tier bit-identical to the vectorized tier by
   construction (pinned by the property suite and ``diff_tiers``).
 
 The K shards are *logical workers executed sequentially* in one
@@ -48,8 +48,14 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.core.batched import _INVITE_WORDS, _REPLY_WORDS, _REPORT_WORDS
-from repro.core.vectorized import Alg1VecKernel, DiMa2EdVecKernel, _ragged_positions
+from repro.core.vectorized import (
+    _INVITE_WORDS,
+    _REPLY_WORDS,
+    _REPORT_WORDS,
+    Alg1VecKernel,
+    DiMa2EdVecKernel,
+    _ragged_positions,
+)
 from repro.core.vecrng import VectorMT, child_seeds, mt_states_from_seeds, _MT_N
 from repro.errors import ConfigurationError
 from repro.graphs.shards import ShardSet

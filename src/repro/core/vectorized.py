@@ -1,9 +1,13 @@
 """Vectorized compute kernels — fused whole-population rounds.
 
-The batched kernels (:mod:`repro.core.batched`) already step the whole
-population per superstep, but still as interpreted Python: one loop
-iteration, one bigint mask, one ``random.Random`` method call per node.
-The kernels here eliminate the interpreter from the hot path entirely:
+The matching-discovery automaton is lockstep: in any given superstep
+every live node runs the *same* phase of the C/I/L/R/W/U/E/D machine.
+The per-node programs pay Python dispatch, ``Invite``/``Reply``/
+``Report`` object churn and per-node set bookkeeping for that
+uniformity; the kernels here execute a whole round for the entire node
+population at once over structure-of-arrays state, so on the hot path a
+message is never a Python object and the interpreter never loops over
+nodes:
 
 * palette masks live in fixed-width **plane arrays** (``uint64[n, k]``,
   see :mod:`repro.core.palette`), so "lowest color free at both ends"
@@ -19,22 +23,43 @@ The kernels here eliminate the interpreter from the hot path entirely:
   :meth:`step_round` call, handing the engine per-phase records so
   metrics and telemetry stay byte-identical to the per-node loop.
 
-Bit-identity with the per-node programs (and hence the batched kernels)
-is the contract, pinned by the property suite.  The invariants the
-batched kernels rely on carry over unchanged — see the
-:mod:`repro.core.batched` docstring; two more make fusion safe:
+Bit-identity with the per-node programs is the contract, not an
+approximation; the property suite pins it.  The load-bearing facts:
 
+* **RNG streams.**  The replayed streams make the *same* draws in the
+  same order as the programs' ``random.Random`` methods: the role coin
+  for every node the program would flip it for, ``choice`` over
+  sequences of identical length at identical points
+  (``random.Random.choice`` consumes entropy even on singleton
+  sequences, so no short-circuiting).
+* **Algorithm 1 needs no per-arc knowledge.**  Fault-free and strict,
+  every color a node consumes in round *r* is broadcast in its round-*r*
+  report and folded by all live neighbors at phase 3, so at every
+  phase 0 a node's model of its neighbor's used set *is* the neighbor's
+  used set.  The proposal "lowest color free at both ends per my
+  knowledge" collapses to the lowest clear bit of
+  ``used[u] | used[partner]`` (see
+  :func:`repro.core.palette.planes_lowest_free`).
+* **Stale-pairing guards are unreachable.**  The filters the per-node
+  programs apply against already-resolved partners (lost-reply repair)
+  cannot trigger under reliable delivery: both endpoints drop a pairing
+  in the same round, so the uncolored relations stay symmetric at every
+  round boundary.
+* **DiMa2Ed's neighbor model is shared.**  Reports are reliable local
+  broadcasts, so every live neighbor of ``v`` holds the *same* model of
+  ``v``'s struck channels; one advertised-removals mask per node
+  (``adv``), updated a round behind ``forbidden`` exactly like the
+  per-node ``_neighbor_removed``, reproduces every inviter's view.
 * **Halting only happens at phase 3**, so the live set is constant
   within a round and a fused round observes exactly the per-superstep
-  live lists the engine loop would have passed.
+  live lists the per-node loop sees.
 * **Phase 1's uncolored-list removal commutes with phase 2's.**  No
   RNG draw between them depends on the lists, so both removals batch
   into one compaction at phase 2.
 
-A kernel here advertises ``fused = True`` and binds CSR arrays directly
-(``bind_graph``) — :class:`repro.runtime.engine.BatchedEngine` detects
-the attribute and drives the fused loop, skipping per-node RNG spawning
-and Python adjacency lists entirely.
+A kernel binds CSR arrays directly (``bind_graph``);
+:class:`repro.runtime.engine.BatchedEngine` drives it a round at a time,
+and :func:`repro.core.batched.run_kernel` picks it for eligible runs.
 """
 
 from __future__ import annotations
@@ -44,13 +69,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.batched import (
-    _INVITE_WORDS,
-    _REPLY_WORDS,
-    _REPORT_WORDS,
-    _two_states,
-    _two_transitions,
-)
 from repro.core.palette import (
     PLANE_WORD_BITS,
     grow_planes,
@@ -65,12 +83,46 @@ __all__ = ["Alg1VecKernel", "DiMa2EdVecKernel", "PhaseRecord"]
 
 _U64 = np.uint64
 
+#: Word sizes of the three phase payloads (``Message.size`` of a
+#: broadcast carrying an Invite/Reply/Report dataclass: 2 header words
+#: plus one per field).  Constants because dataclass payload sizes are
+#: field-count based, independent of tuple contents.
+_INVITE_WORDS = 5
+_REPLY_WORDS = 5
+_REPORT_WORDS = 7
+
 #: One superstep's worth of engine bookkeeping, produced per phase of a
 #: fused round: ``(live_count, senders, delivered, discarded,
 #: words_each, hist_items, transition_items, done_total)``.
 PhaseRecord = Tuple[
     int, int, int, int, int, Optional[list], Optional[list], int
 ]
+
+
+def _two_states(
+    first_in_a: bool, state_a: str, count_a: int, state_b: str, count_b: int
+) -> List[Tuple[str, int]]:
+    """Histogram items for a two-group state partition.
+
+    Ordered by the per-node loop's first-occurrence rule: the group of
+    the lowest live node leads.  Empty groups are dropped (the per-node
+    histogram never holds a zero count).
+    """
+    if first_in_a:
+        items = [(state_a, count_a), (state_b, count_b)]
+    else:
+        items = [(state_b, count_b), (state_a, count_a)]
+    return [item for item in items if item[1]]
+
+
+def _two_transitions(
+    first_in_a: bool,
+    trans_a: Tuple[str, str, int],
+    trans_b: Tuple[str, str, int],
+) -> List[Tuple[str, str, int]]:
+    """Transition items for a two-group partition, first-occurrence ordered."""
+    items = [trans_a, trans_b] if first_in_a else [trans_b, trans_a]
+    return [item for item in items if item[2]]
 
 
 def _ragged_positions(
@@ -90,8 +142,6 @@ def _ragged_positions(
 
 class _VecKernelBase:
     """State and helpers shared by the fused kernels."""
-
-    fused = True
 
     _PHASE_NAMES = (
         "_phase_choose",
@@ -222,8 +272,14 @@ class _VecKernelBase:
 
 class Alg1VecKernel(_VecKernelBase):
     """Fused Algorithm 1 (edge coloring) over plane/flat-array state,
-    bit-identical to :class:`repro.core.batched.Alg1Kernel` (and hence
-    to the per-node program) under the same eligibility gates.
+    bit-identical to :class:`repro.core.edge_coloring.EdgeColoringProgram`
+    under the gates of :func:`repro.core.batched.batched_eligible`.
+
+    Per node: the uncolored partner list (a row of the flat array,
+    compacted exactly like the program's ``_uncolored`` so ``choice``
+    sees identical sequences), a used-colors plane row, the role flag
+    and this round's proposal.  Accepted pairings are recorded once per
+    edge as ``(inviter, listener, color)`` — all the wrapper needs.
     """
 
     COLOR_STRATEGIES = ("lowest", "random_window")
@@ -424,11 +480,16 @@ class Alg1VecKernel(_VecKernelBase):
 
 class DiMa2EdVecKernel(_VecKernelBase):
     """Fused DiMa2Ed (strong arc coloring) over plane/flat-array state,
-    bit-identical to :class:`repro.core.batched.DiMa2EdKernel` under the
-    same eligibility gates.
+    bit-identical to :class:`repro.core.dima2ed.DiMa2EdProgram` under the
+    gates of :func:`repro.core.batched.batched_eligible`.
 
-    The plane arrays mirror the batched kernel's bigint masks one for
-    one (``forbidden``/``adv``/fresh deltas); the out/in uncolored arc
+    Beyond Algorithm 1's state this tracks, per node, plane rows for the
+    struck-channel mask (``forbidden``), the *advertised* struck mask
+    (``adv`` — what the node has reported so far, i.e. every neighbor's
+    model of it; it lags ``forbidden`` by the report cycle exactly like
+    the per-node ``_neighbor_removed``) and the fresh-colored/
+    fresh-removed report deltas, plus the contention fail streak that
+    widens the channel window.  The out/in uncolored arc
     lists are two flat CSR-shaped arrays compacted per round like the
     Algorithm 1 partner list.  Report folding (phase 3) aggregates the
     strikers' colored masks over live neighbors with one ``bitwise_or``

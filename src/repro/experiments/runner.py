@@ -177,8 +177,8 @@ def run_edge_coloring_workload(
     :class:`~repro.runtime.observe.AutomatonTelemetry` and its compact
     dump lands in ``report.telemetry`` keyed ``"cell/replicate"``;
     results are bit-identical either way.  ``compute`` is forwarded to
-    :func:`~repro.core.edge_coloring.color_edges` to pin the batched or
-    per-node core for A/B sweeps.
+    :func:`~repro.core.edge_coloring.color_edges` to pin a kernel or
+    the per-node core for A/B sweeps.
     """
     report = ExperimentReport(experiment=experiment)
     for cell, replicate, graph in materialize(cells, base_seed):

@@ -319,7 +319,7 @@ class MetricsRegistry:
 
 #: RunMetrics counter -> (metric name, help).  Every engine tier and the
 #: transport/fault layers account into RunMetrics, so this one fold
-#: instruments all of them: general/fast/batched/vectorized/parallel
+#: instruments all of them: general/fast/vectorized/sharded/parallel
 #: runs, reliable-transport retransmit/backoff traffic, and fault-model
 #: loss/duplication/crash accounting.
 RUN_COUNTERS: Dict[str, Tuple[str, str]] = {

@@ -60,10 +60,10 @@ CHECKPOINT_FORMAT = 1
 #: Engine kinds a checkpoint can come from.  The two per-node delivery
 #: cores share one schema ("pernode") — they are bit-identical, so a
 #: snapshot captured on the fast path may thaw on the general loop and
-#: vice versa.  The batched kernel has its own ("batched"), and the
-#: sharded tier its own ("sharded") — its payload holds a *frozen*
-#: plain-array kernel state (memmaps cannot ride in a deepcopy), thawed
-#: against a shard directory on resume.
+#: vice versa.  The kernels on BatchedEngine have their own
+#: ("batched"), and the sharded tier its own ("sharded") — its payload
+#: holds a *frozen* plain-array kernel state (memmaps cannot ride in a
+#: deepcopy), thawed against a shard directory on resume.
 _KINDS = ("pernode", "batched", "sharded")
 
 
@@ -124,10 +124,34 @@ class EngineCheckpoint:
         return path
 
 
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Unpickler that names the file and class a payload can no longer
+    find (a checkpoint of a kernel this checkout has removed)."""
+
+    def __init__(self, fh, path: Path) -> None:
+        super().__init__(fh)
+        self._path = path
+
+    def find_class(self, module: str, name: str):
+        try:
+            return super().find_class(module, name)
+        except (AttributeError, ImportError) as exc:
+            raise ConfigurationError(
+                f"checkpoint {self._path} pickles {module}.{name}, which "
+                "this checkout does not have; rerun from the start"
+            ) from exc
+
+
 def load_checkpoint(path) -> EngineCheckpoint:
-    """Load a checkpoint written by :meth:`EngineCheckpoint.save`."""
-    with open(Path(path), "rb") as fh:
-        data = pickle.load(fh)
+    """Load a checkpoint written by :meth:`EngineCheckpoint.save`.
+
+    Raises :class:`~repro.errors.ConfigurationError` for a format newer
+    than this checkout, or a payload that pickles a class it no longer
+    has.
+    """
+    path = Path(path)
+    with open(path, "rb") as fh:
+        data = _CheckpointUnpickler(fh, path).load()
     fmt = data.get("format", 1)
     if fmt > CHECKPOINT_FORMAT:
         raise ConfigurationError(

@@ -980,25 +980,22 @@ class SynchronousEngine:
 
 
 class BatchedEngine:
-    """Lockstep executor for a batched compute kernel.
+    """Lockstep executor for a whole-population compute kernel.
 
     Where :class:`SynchronousEngine` steps per-node programs and routes
-    per-message objects, this engine drives one *kernel* (see
-    :mod:`repro.core.batched`) that executes a whole superstep for the
+    per-message objects, this engine drives one fused *kernel* (see
+    :mod:`repro.core.vectorized`) that executes a whole round for the
     entire live population at once over structure-of-arrays state.  The
-    engine owns everything algorithm-agnostic: the superstep loop, the
-    metrics counters, telemetry recording, phase profiling, GC pausing
-    and the halted-audience bookkeeping for delivery accounting.
+    engine owns everything algorithm-agnostic: the round loop, the
+    metrics counters, telemetry recording, phase profiling, checkpoint
+    capture, GC pausing and the superstep budget.
 
     Delivery is *metered, not performed*: the automaton's messages are
     local broadcasts consumed inside the same kernel state, so per
-    superstep the kernel only reports who sent (at most one broadcast
-    per node — the strict model) and the uniform word size of that
-    phase's payload.  Messages delivered = the senders' live-neighbor
-    audiences, maintained as an int array decremented along a node's
-    adjacency row when it halts (a halting node stops receiving from the
-    superstep *after* the one in which it halted — same ordering as the
-    per-node cores, which apply halts before delivering).
+    superstep the kernel only reports how many nodes sent (at most one
+    broadcast per node — the strict model), the copies delivered to and
+    discarded at halted neighbors, and the uniform word size of that
+    phase's payload.
 
     Bit-identity with ``SynchronousEngine`` on an eligible configuration
     — same metrics dict, same superstep count, same telemetry dump —
@@ -1048,21 +1045,7 @@ class BatchedEngine:
                 f"{type(self).__name__} can only resume {kind!r} checkpoints, "
                 f"got {getattr(resume, 'kind', None)!r}"
             )
-        indptr, indices = topology.to_csr()
-        self._indptr = indptr
-        self._indices = indices
-        self._degs = np.diff(indptr)
-
-    def _build_nbr_lists(self) -> List[List[int]]:
-        """Per-node sorted adjacency lists for per-superstep kernels.
-
-        Built on demand: fused kernels bind the CSR arrays directly and
-        never materialize Python lists.
-        """
-        n = self.topology.num_nodes
-        iptr = self._indptr.tolist()
-        ind = self._indices.tolist()
-        return [ind[iptr[u] : iptr[u + 1]] for u in range(n)]
+        self._indptr, self._indices = topology.to_csr()
 
     def run(self) -> RunResult:
         """Execute until the kernel halts every node or the budget ends."""
@@ -1082,142 +1065,13 @@ class BatchedEngine:
         return result
 
     def _run(self) -> RunResult:
-        n = self.topology.num_nodes
-        indptr = self._indptr
-        indices = self._indices
-        degs = self._degs
         resumed = self.resume is not None
         state = self.resume.restore() if resumed else None
         # A restored kernel replaces the constructor's: callers read
         # results (assignments, arc_assignments) off ``engine.kernel``
         # after the run.
         kernel = state["kernel"] if resumed else self.kernel
-        if getattr(kernel, "fused", False):
-            return self._run_fused(kernel, state)
-        if resumed:
-            kernel = state["kernel"]
-            self.kernel = kernel
-            live = list(state["live"])
-            metrics = state["metrics"]
-            self.telemetry = state["telemetry"]
-            superstep = int(self.resume.superstep)
-            live_flags = bytearray(n)
-            for u in live:
-                live_flags[u] = 1
-            # audience[u] = u's live-neighbor count, reconstructed from
-            # the live set (every non-live node has already halted).
-            audience = degs.astype(np.int64, copy=True)
-            for h in range(n):
-                if not live_flags[h]:
-                    audience[indices[indptr[h] : indptr[h + 1]]] -= 1
-        else:
-            kernel = self.kernel
-            rngs = spawn_node_rngs(self.seed, n)
-            halted_init = kernel.bind(self._build_nbr_lists(), rngs)
-
-            live_flags = bytearray(n)
-            for u in range(n):
-                live_flags[u] = 1
-            # audience[u] = u's live-neighbor count: the copies one
-            # broadcast from u delivers.  Decremented along the
-            # adjacency row of every node that halts.
-            audience = degs.astype(np.int64, copy=True)
-            for h in halted_init:
-                live_flags[h] = 0
-                audience[indices[indptr[h] : indptr[h + 1]]] -= 1
-            live = [u for u in range(n) if live_flags[u]]
-            metrics = RunMetrics()
-            superstep = 0
-
-        telemetry = self.telemetry
-        prof = self.profiler
-        span_begin = getattr(prof, "begin_superstep", None)
-        pub = self.publisher
-        collect = telemetry is not None
-        if collect and not resumed:
-            telemetry.begin_batch(0, kernel.work_total)
-
-        checkpointer = self.checkpointer
-        while live and superstep < self.max_supersteps:
-            if checkpointer is not None and checkpointer.due(superstep):
-                checkpointer.capture(
-                    "batched",
-                    superstep,
-                    {
-                        "kernel": kernel,
-                        "live": live,
-                        "metrics": metrics,
-                        "telemetry": telemetry,
-                    },
-                    {
-                        "nodes": n,
-                        "edges": _edge_count(self.topology),
-                        "strict": True,
-                        "seed": self.seed,
-                    },
-                )
-            metrics.begin_superstep(len(live))
-            if span_begin is not None:
-                span_begin(superstep)
-            if pub is not None and pub.ready():
-                pub.publish(_live_snapshot(superstep, len(live), metrics, telemetry))
-            if prof is not None:
-                _t0 = perf_counter()
-            senders, words_each, halted_now, hist, trans, done = kernel.step(
-                superstep, live, collect
-            )
-            if prof is not None:
-                prof.add("compute", perf_counter() - _t0)
-            if collect:
-                telemetry.record_batch_superstep(hist, trans, done)
-
-            if halted_now:
-                for h in halted_now:
-                    live_flags[h] = 0
-                    audience[indices[indptr[h] : indptr[h + 1]]] -= 1
-                live = [u for u in live if live_flags[u]]
-
-            if senders:
-                if prof is not None:
-                    _t0 = perf_counter()
-                idx = np.fromiter(senders, dtype=np.int64, count=len(senders))
-                delivered = int(audience[idx].sum())
-                metrics.messages_sent += len(senders)
-                metrics.messages_delivered += delivered
-                metrics.words_delivered += delivered * words_each
-                metrics.messages_discarded_halted += (
-                    int(degs[idx].sum()) - delivered
-                )
-                if prof is not None:
-                    prof.add("delivery", perf_counter() - _t0)
-            superstep += 1
-
-        if checkpointer is not None and live:
-            # Budget exhausted mid-run: capture the stopping point.
-            checkpointer.capture(
-                "batched",
-                superstep,
-                {
-                    "kernel": kernel,
-                    "live": live,
-                    "metrics": metrics,
-                    "telemetry": telemetry,
-                },
-                {
-                    "nodes": n,
-                    "edges": _edge_count(self.topology),
-                    "strict": True,
-                    "seed": self.seed,
-                },
-            )
-        if prof is not None:
-            metrics.phase_seconds.update(prof.as_dict())
-        return RunResult(
-            programs=[],
-            metrics=metrics,
-            completed=not live,
-            supersteps=superstep,
-        )
+        return self._run_fused(kernel, state)
 
     def _bind_fused_kernel(self, kernel) -> None:
         """Bind a fresh fused kernel to this engine's topology (the
@@ -1229,12 +1083,9 @@ class BatchedEngine:
         sharded engine folds its cross-shard cost counters in)."""
 
     def _fused_checkpoint_state(self, kernel, metrics) -> dict:
-        """Checkpoint payload for a fused kernel — same shape as the
-        per-superstep kernels' (``kind == "batched"``), so
-        ``resume_engine`` and every checkpoint consumer stay agnostic
-        of the kernel generation.  The live list is captured for
-        payload compatibility; on resume the kernel's own arrays are
-        authoritative.
+        """Checkpoint payload (``kind == "batched"``).  The live list
+        keeps the format-1 payload shape; on resume the kernel's own
+        arrays are authoritative.
         """
         return {
             "kernel": kernel,
@@ -1258,8 +1109,8 @@ class BatchedEngine:
         them on the hot path anyway); the engine keeps what it alone is
         responsible for — metrics counters, telemetry recording,
         checkpoint capture and the superstep budget.  Each record a
-        round hands back is applied exactly as one iteration of the
-        per-superstep loop would have.
+        round hands back is booked as one superstep, exactly as the
+        per-node loop books it.
         """
         resumed = state is not None
         if resumed:

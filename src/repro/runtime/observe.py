@@ -289,8 +289,8 @@ class AutomatonTelemetry:
     def begin_batch(self, done_total: int, work_total: int) -> None:
         """Batched-core counterpart of :meth:`begin_run`.
 
-        The batched compute core (:mod:`repro.core.batched`) has no
-        program objects to poll, so it seeds the work/done baselines
+        The whole-population kernels (:mod:`repro.core.vectorized`)
+        have no program objects to poll, so it seeds the work/done baselines
         directly from its arrays.  Additive, like :meth:`begin_run`, so
         a merged collector keeps summing.
         """

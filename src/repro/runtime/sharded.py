@@ -19,8 +19,8 @@ The K shards are logical workers executed sequentially in one process;
 the metered exchange is exactly the traffic K communicating processes
 would put on the wire.  Everything else — metrics counters, telemetry,
 profiling, supersteps, budget handling, resume flow — is inherited
-unchanged, which is what keeps the tier bit-identical to the batched
-one (``diff_tiers`` pins it).
+unchanged, which is what keeps the tier bit-identical to the
+vectorized one (``diff_tiers`` pins it).
 """
 
 from __future__ import annotations
@@ -151,9 +151,9 @@ class ShardedEngine(BatchedEngine):
             state["kernel"] = kernel
         else:
             kernel = self.kernel
-        if not getattr(kernel, "fused", False):
+        if not hasattr(kernel, "bind_shards"):
             raise GraphError(
-                "ShardedEngine requires a fused sharded kernel, got "
+                "ShardedEngine requires a sharded kernel, got "
                 f"{type(kernel).__name__}"
             )
         return self._run_fused(kernel, state)

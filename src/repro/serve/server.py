@@ -253,8 +253,11 @@ class ColoringServer:
         """Bind the listening socket (resolving an ephemeral port)."""
         self.manager.load()
         self._shutdown = asyncio.Event()
+        # StreamReader's default limit (64 KiB) would cap a request
+        # line far below the protocol's own bound.
         self._server = await asyncio.start_server(
-            self._on_client, self.host, self.port
+            self._on_client, self.host, self.port,
+            limit=protocol.MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -268,7 +271,17 @@ class ColoringServer:
             while True:
                 try:
                     line = await reader.readline()
-                except (ConnectionResetError, asyncio.LimitOverrunError):
+                except ConnectionResetError:
+                    break
+                except ValueError:
+                    # The line overran the reader's limit.  Its tail is
+                    # still arriving, so answer once and hang up (close
+                    # below flushes the response).
+                    self._count_error()
+                    overrun = protocol.error_response(
+                        None, f"request line exceeds {protocol.MAX_LINE_BYTES} bytes"
+                    )
+                    writer.write(protocol.encode(overrun))
                     break
                 if not line:
                     break

@@ -1,11 +1,10 @@
 """Differential cross-tier equivalence runner.
 
-The repo carries eight executions of the same algorithm semantics:
+The repo carries seven executions of the same algorithm semantics:
 
 * ``general`` — the per-node programs on the engine's general delivery
   loop (``fastpath=False, compute="pernode"``), the reference tier;
 * ``fastpath`` — the same programs on the engine's fast-path delivery;
-* ``batched`` — the array-lockstep kernels (:mod:`repro.core.batched`);
 * ``vectorized`` — the fused palette-plane kernels
   (:mod:`repro.core.vectorized`);
 * ``numba`` — the JIT-compiled round kernels
@@ -21,7 +20,7 @@ The repo carries eight executions of the same algorithm semantics:
 * ``async`` — the per-node programs under the α-synchronizer
   (:class:`~repro.runtime.async_engine.AsyncEngine`).
 
-All eight are documented as bit-identical.  This module makes that claim
+All seven are documented as bit-identical.  This module makes that claim
 *checkable on demand* for any (algorithm, graph, seed) configuration:
 :func:`diff_tiers` runs a subset of tiers and diffs every comparable
 field — the coloring itself, round and superstep counts, the message
@@ -31,20 +30,20 @@ diverging superstep** is recovered.
 
 Comparable field sets differ by tier:
 
-=========  ========  =======  ========  =============  ==========
-field      fastpath  batched  parallel  async          notes
-=========  ========  =======  ========  =============  ==========
-colors     yes       yes      yes       yes            exact dict
-rounds     yes       yes      yes       yes
-supersteps yes       yes      yes       yes (pulses)
-metrics    all       all      all       all but        scalar
-                                        ``supersteps``  counters
-telemetry  yes       yes      yes       —              async runs
-                                                       untelemetered
-=========  ========  =======  ========  =============  ==========
+=========  ========  ==========  ========  =============  ==========
+field      fastpath  vectorized  parallel  async          notes
+=========  ========  ==========  ========  =============  ==========
+colors     yes       yes         yes       yes            exact dict
+rounds     yes       yes         yes       yes
+supersteps yes       yes         yes       yes (pulses)
+metrics    all       all         all       all but        scalar
+                                           ``supersteps``  counters
+telemetry  yes       yes         yes       —              async runs
+                                                          untelemetered
+=========  ========  ==========  ========  =============  ==========
 
-``vectorized``, ``numba`` and ``sharded`` compare on the same field set
-as ``batched`` (all scalar counters plus full telemetry).
+``numba`` and ``sharded`` compare on the same field set as
+``vectorized`` (all scalar counters plus full telemetry).
 
 The ``parallel`` tier needs the ``fork`` start method, the ``numba``
 tier needs an importable numba, and the ``sharded`` tier needs a
@@ -97,7 +96,6 @@ ALGORITHMS = ("alg1", "dima2ed")
 TIERS = (
     "general",
     "fastpath",
-    "batched",
     "vectorized",
     "numba",
     "sharded",
@@ -109,7 +107,6 @@ TIERS = (
 _WRAPPER_TIERS = (
     "general",
     "fastpath",
-    "batched",
     "vectorized",
     "numba",
     "sharded",
@@ -308,7 +305,6 @@ def _run_wrapper_tier(tier: str, graph: Graph, algorithm: str, seed: int) -> Tie
     kwargs = {
         "general": dict(fastpath=False, compute="pernode"),
         "fastpath": dict(fastpath=True, compute="pernode"),
-        "batched": dict(compute="batched"),
         "vectorized": dict(compute="vectorized"),
         "numba": dict(compute="numba"),
         "sharded": dict(compute="sharded"),

@@ -1,7 +1,7 @@
 """End-to-end tests of the differential correctness harness.
 
 The headline scenario is mutation testing: deliberately break the
-batched kernel's color picker, then require the whole pipeline to work —
+vectorized kernel's color picker, then require the whole pipeline to work —
 the fuzz loop finds the divergence, the delta-debugging shrinker
 minimizes the instance to a handful of vertices, the counterexample
 round-trips through JSON, and replaying it reproduces the divergence
@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-import repro.core.batched as batched
+import repro.core.vectorized as vectorized
+from repro.core.palette import planes_popcount
 from repro.graphs.adjacency import Graph
 from repro.graphs.generators import (
     complete_graph,
@@ -25,16 +26,15 @@ from repro.verify.shrink import shrink_graph
 
 
 @pytest.fixture
-def broken_batched_palette(monkeypatch):
-    """Off-by-one in the batched kernel's color pick, once ≥2 colors are
-    taken — invisible on tiny first rounds, divergent soon after."""
-    orig = batched.lowest_free_bit
+def broken_vectorized_palette(monkeypatch):
+    """Off-by-one in the vectorized kernel's color pick, once ≥2 colors
+    are taken — invisible on tiny first rounds, divergent soon after."""
+    orig = vectorized.planes_lowest_free
 
-    def buggy(mask):
-        color = orig(mask)
-        return color + 1 if bin(mask).count("1") >= 2 else color
+    def buggy(planes):
+        return orig(planes) + (planes_popcount(planes) >= 2)
 
-    monkeypatch.setattr(batched, "lowest_free_bit", buggy)
+    monkeypatch.setattr(vectorized, "planes_lowest_free", buggy)
     return buggy
 
 
@@ -55,8 +55,8 @@ class TestTiersAgree:
 
     def test_single_tier_runs_standalone(self):
         g = path_graph(6)
-        run = run_tier("batched", g, algorithm="alg1", seed=1)
-        assert run.tier == "batched"
+        run = run_tier("vectorized", g, algorithm="alg1", seed=1)
+        assert run.tier == "vectorized"
         assert len(run.colors) == 5
 
 
@@ -64,7 +64,7 @@ class TestInjectedKernelBugIsCaught:
     """The ISSUE's acceptance scenario, end to end."""
 
     def test_fuzz_catches_shrinks_and_replays(
-        self, broken_batched_palette, tmp_path, monkeypatch
+        self, broken_vectorized_palette, tmp_path, monkeypatch
     ):
         result = fuzz(
             max_iterations=25,
@@ -79,8 +79,8 @@ class TestInjectedKernelBugIsCaught:
         assert ce.graph().num_nodes <= 10
         assert ce.graph().num_edges <= 10
         assert result.saved_to is not None and result.saved_to.is_file()
-        # The divergence names the batched tier against the baseline.
-        assert any(d.tier == "batched" for d in result.report.divergences)
+        # The divergence names the vectorized tier against the baseline.
+        assert any(d.tier == "vectorized" for d in result.report.divergences)
 
         # Replay under the bug still diverges...
         replay_report = replay(result.saved_to)
@@ -91,26 +91,26 @@ class TestInjectedKernelBugIsCaught:
         fixed_report = replay(result.saved_to)
         assert fixed_report.ok, fixed_report.summary()
 
-    def test_divergence_is_deterministic(self, broken_batched_palette):
+    def test_divergence_is_deterministic(self, broken_vectorized_palette):
         # A triangle forces three distinct colors, tripping the off-by-one.
         g = complete_graph(3)
-        first = diff_tiers(g, algorithm="alg1", seed=3, tiers=["general", "batched"])
-        second = diff_tiers(g, algorithm="alg1", seed=3, tiers=["general", "batched"])
+        first = diff_tiers(g, algorithm="alg1", seed=3, tiers=["general", "vectorized"])
+        second = diff_tiers(g, algorithm="alg1", seed=3, tiers=["general", "vectorized"])
         assert not first.ok
         assert [str(d) for d in first.divergences] == [
             str(d) for d in second.divergences
         ]
 
     def test_crashing_tier_is_reported_not_raised(self, monkeypatch):
-        def boom(mask):
+        def boom(planes):
             raise RuntimeError("kernel exploded")
 
-        monkeypatch.setattr(batched, "lowest_free_bit", boom)
+        monkeypatch.setattr(vectorized, "planes_lowest_free", boom)
         report = diff_tiers(
-            complete_graph(4), algorithm="alg1", seed=1, tiers=["general", "batched"]
+            complete_graph(4), algorithm="alg1", seed=1, tiers=["general", "vectorized"]
         )
         assert not report.ok
-        assert "RuntimeError" in report.errors["batched"]
+        assert "RuntimeError" in report.errors["vectorized"]
         assert "general" in report.runs
 
 
@@ -151,7 +151,7 @@ class TestCounterexampleFormat:
         ce = Counterexample(
             algorithm="alg1",
             seed=42,
-            tiers=["general", "batched"],
+            tiers=["general", "vectorized"],
             edges=[(0, 1), (1, 2)],
             family="structured",
             summary="demo",

@@ -8,7 +8,7 @@ same metrics dict, across every delivery core:
 
 * the general per-node loop (``fastpath=False``),
 * the fast path (``fastpath=True``),
-* the batched SoA kernel (``BatchedEngine``).
+* the fused plane kernels (``BatchedEngine``).
 
 The per-node cores share one checkpoint schema (kind ``"pernode"``), so
 a snapshot captured on the fast path must also thaw on the general loop
@@ -25,7 +25,6 @@ import math
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.batched import Alg1Kernel
 from repro.core.edge_coloring import EdgeColoringProgram
 from repro.core.kernels_numba import Alg1KernelNumba
 from repro.core.vectorized import Alg1VecKernel, DiMa2EdVecKernel
@@ -178,50 +177,8 @@ class TestPernodeKillRestore:
         assert _fingerprint_pernode(run) == _fingerprint_pernode(base)
 
 
-class TestBatchedKillRestore:
-    @RELAXED
-    @given(
-        graph=family_graphs(),
-        seed=st.integers(min_value=0, max_value=2**16),
-        kill_at=st.floats(min_value=0.05, max_value=0.95),
-        every=st.integers(min_value=1, max_value=9),
-    )
-    def test_restore_is_bit_identical(self, graph, seed, kill_at, every):
-        base_kernel = Alg1Kernel()
-        base = BatchedEngine(graph, base_kernel, seed=seed).run()
-        assert base.completed
-        base_colors = {
-            canonical_edge(s, t): c for s, t, c in base_kernel.assignments
-        }
-
-        kill = _kill_fraction_to_superstep(kill_at, base.supersteps)
-        store = CheckpointStore(keep=2)
-        killed = BatchedEngine(
-            graph,
-            Alg1Kernel(),
-            seed=seed,
-            max_supersteps=kill,
-            checkpointer=Checkpointer(every, store),
-        ).run()
-        if killed.completed:
-            return
-        checkpoint = store.latest()
-        assert checkpoint is not None
-        assert checkpoint.kind == "batched"
-
-        engine = resume_engine(checkpoint, graph)
-        resumed = engine.run()
-        resumed_colors = {
-            canonical_edge(s, t): c for s, t, c in engine.kernel.assignments
-        }
-        assert resumed.completed
-        assert resumed.supersteps == base.supersteps
-        assert colors_digest(resumed_colors) == colors_digest(base_colors)
-        assert resumed.metrics.to_dict() == base.metrics.to_dict()
-
-
 class TestVectorizedKillRestore:
-    """The fused plane kernels share the ``"batched"`` checkpoint kind;
+    """The fused plane kernels write the ``"batched"`` checkpoint kind;
     a mid-run snapshot must resume to the exact uninterrupted run —
     including the vectorized RNG state and the chunked assignment log —
     for Algorithm 1, DiMa2Ed (a DiGraph topology) and the numba kernel's

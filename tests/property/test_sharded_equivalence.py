@@ -6,7 +6,7 @@ same per-node MT19937 streams, routed per shard, with explicit
 cross-shard exchange metering.  Nothing about the partitioning may leak
 into the algorithm: for every family, seed, shard count and strategy,
 the coloring, round/superstep counts and the shared metric counters
-must match the batched/vectorized tiers exactly.  The shard-only
+must match the vectorized tier exactly.  The shard-only
 metrics (``shard_*``, ``cross_shard_bytes``) are additive extras — the
 byte meter is deterministic and asserted as such; the wall-clock and
 RSS fields are not compared.
@@ -101,13 +101,13 @@ class TestWrapperEquivalence:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_alg1_sharded_bit_identical(self, family, shards):
         g = FAMILIES[family](7)
-        batched = color_edges(g, seed=7, compute="batched")
+        vec = color_edges(g, seed=7, compute="vectorized")
         sharded = color_edges(g, seed=7, compute="sharded", shards=shards)
-        assert sharded.colors == batched.colors
-        assert sharded.rounds == batched.rounds
-        assert sharded.supersteps == batched.supersteps
-        assert sharded.metrics.as_dict() == batched.metrics.as_dict()
-        assert sharded.palette == batched.palette
+        assert sharded.colors == vec.colors
+        assert sharded.rounds == vec.rounds
+        assert sharded.supersteps == vec.supersteps
+        assert sharded.metrics.as_dict() == vec.metrics.as_dict()
+        assert sharded.palette == vec.palette
         assert sharded.metrics.shard_workers == shards
         assert sharded.metrics.shard_peak_rss_kb > 0
         if shards > 1:
@@ -119,12 +119,12 @@ class TestWrapperEquivalence:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_dima2ed_sharded_bit_identical(self, family, shards):
         d = FAMILIES[family](5).to_directed()
-        batched = strong_color_arcs(d, seed=5, compute="batched")
+        vec = strong_color_arcs(d, seed=5, compute="vectorized")
         sharded = strong_color_arcs(d, seed=5, compute="sharded", shards=shards)
-        assert sharded.colors == batched.colors
-        assert sharded.rounds == batched.rounds
-        assert sharded.supersteps == batched.supersteps
-        assert sharded.metrics.as_dict() == batched.metrics.as_dict()
+        assert sharded.colors == vec.colors
+        assert sharded.rounds == vec.rounds
+        assert sharded.supersteps == vec.supersteps
+        assert sharded.metrics.as_dict() == vec.metrics.as_dict()
         assert sharded.metrics.shard_workers == shards
 
     def test_cross_shard_bytes_deterministic(self):
@@ -136,9 +136,9 @@ class TestWrapperEquivalence:
 
     def test_shard_fields_absent_on_other_tiers(self):
         g = FAMILIES["er"](11)
-        batched = color_edges(g, seed=11, compute="batched")
-        assert "shard_workers" not in batched.metrics.to_dict()
-        assert "cross_shard_bytes" not in batched.metrics.to_dict()
+        vec = color_edges(g, seed=11, compute="vectorized")
+        assert "shard_workers" not in vec.metrics.to_dict()
+        assert "cross_shard_bytes" not in vec.metrics.to_dict()
 
 
 class TestShardedCheckpointRestart:
@@ -245,7 +245,7 @@ class TestDifferentialIntegration:
         g = FAMILIES["er"](3)
         for algorithm in ("alg1", "dima2ed"):
             report = diff_tiers(
-                g, algorithm=algorithm, seed=3, tiers=["batched", "sharded"]
+                g, algorithm=algorithm, seed=3, tiers=["vectorized", "sharded"]
             )
             assert report.ok, report.summary()
             assert "sharded" in report.runs
@@ -254,11 +254,11 @@ class TestDifferentialIntegration:
         import repro.graphs.shards as shards_mod
 
         monkeypatch.setattr(shards_mod, "sharded_available", lambda spill_dir=None: False)
-        runnable, skipped = available_tiers(["batched", "sharded"])
-        assert runnable == ["batched"]
+        runnable, skipped = available_tiers(["vectorized", "sharded"])
+        assert runnable == ["vectorized"]
         assert "sharded" in skipped
         report = diff_tiers(
-            FAMILIES["er"](4), seed=4, tiers=["batched", "sharded"]
+            FAMILIES["er"](4), seed=4, tiers=["vectorized", "sharded"]
         )
         assert report.ok
         assert "sharded" in report.skipped

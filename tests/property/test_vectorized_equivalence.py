@@ -1,14 +1,13 @@
-"""Bit-identity of the vectorized plane kernels against the batched core.
+"""Bit-identity of the vectorized plane kernels against the per-node loop.
 
 The vectorized kernels (:mod:`repro.core.vectorized`) re-derive both
-algorithms yet again — fixed-width uint64 palette planes, whole-
-population numpy supersteps, and a replayed RNG (:mod:`repro.core.
-vecrng`) instead of per-node ``random.Random`` objects.  Nothing in
-them shares state with the batched core, so equality here extends the
-existing chain (per-node == batched, pinned by
-``test_batched_equivalence.py``) one more link: for every family, seed
-and strategy combination, colorings, round/superstep counts and the
-full metrics dict must match exactly.
+algorithms — fixed-width uint64 palette planes, whole-population numpy
+rounds, and a replayed RNG (:mod:`repro.core.vecrng`) instead of
+per-node ``random.Random`` objects.  Nothing in them shares state with
+the per-node programs, so the reference is the general per-node loop
+(``fastpath=False, compute="pernode"``): for every family, seed and
+strategy combination, colorings, round/superstep counts and the full
+metrics dict must match it exactly.
 
 The numba backend is the same kernel family once more with the inner
 loops njit-compiled; its tests run the *interpreted* fallback (numba is
@@ -56,19 +55,19 @@ def _assert_same(got, want):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_alg1_vectorized_bit_identical(family, seed):
     g = FAMILIES[family](seed)
-    batched = color_edges(g, seed=seed, compute="batched")
+    reference = color_edges(g, seed=seed, fastpath=False, compute="pernode")
     vectorized = color_edges(g, seed=seed, compute="vectorized")
-    _assert_same(vectorized, batched)
-    assert vectorized.palette == batched.palette
+    _assert_same(vectorized, reference)
+    assert vectorized.palette == reference.palette
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dima2ed_vectorized_bit_identical(family, seed):
     d = FAMILIES[family](seed).to_directed()
-    batched = strong_color_arcs(d, seed=seed, compute="batched")
+    reference = strong_color_arcs(d, seed=seed, fastpath=False, compute="pernode")
     vectorized = strong_color_arcs(d, seed=seed, compute="vectorized")
-    _assert_same(vectorized, batched)
+    _assert_same(vectorized, reference)
 
 
 @pytest.mark.parametrize("color_strategy", ["lowest", "random_window"])
@@ -78,18 +77,22 @@ def test_alg1_strategy_combinations(color_strategy, responder_strategy):
     params = EdgeColoringParams(
         color_strategy=color_strategy, responder_strategy=responder_strategy
     )
-    batched = color_edges(g, seed=7, params=params, compute="batched")
+    reference = color_edges(
+        g, seed=7, params=params, fastpath=False, compute="pernode"
+    )
     vectorized = color_edges(g, seed=7, params=params, compute="vectorized")
-    _assert_same(vectorized, batched)
+    _assert_same(vectorized, reference)
 
 
 @pytest.mark.parametrize("channel_strategy", ["random_window", "first_fit"])
 def test_dima2ed_channel_strategies(channel_strategy):
     d = FAMILIES["er"](5).to_directed()
     params = StrongColoringParams(channel_strategy=channel_strategy)
-    batched = strong_color_arcs(d, seed=5, params=params, compute="batched")
+    reference = strong_color_arcs(
+        d, seed=5, params=params, fastpath=False, compute="pernode"
+    )
     vectorized = strong_color_arcs(d, seed=5, params=params, compute="vectorized")
-    _assert_same(vectorized, batched)
+    _assert_same(vectorized, reference)
 
 
 class TestNumbaInterpretedPath:

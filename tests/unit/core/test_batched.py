@@ -1,10 +1,11 @@
-"""Gating and observability of the batched compute core.
+"""Gating, dispatch and observability of the whole-population kernels.
 
 The bit-identity of the kernels themselves is pinned by
-``tests/property/test_batched_equivalence.py``; this module covers the
-dispatch policy — which configurations may use a batched kernel, that
-ineligible ones fall back to the per-node loop *silently*, and that the
-batched telemetry stream is byte-for-byte the per-node one.
+``tests/property/test_vectorized_equivalence.py``; this module covers
+the dispatch policy in :mod:`repro.core.batched` — which configurations
+may use a kernel, that ineligible ones fall back to the per-node loop
+*silently*, which kernel each ``compute`` mode selects — and that the
+kernel telemetry stream is byte-for-byte the per-node one.
 """
 
 import json
@@ -12,12 +13,7 @@ import json
 import pytest
 
 import repro.core.kernels_numba as kernels_numba
-from repro.core.batched import (
-    Alg1Kernel,
-    DiMa2EdKernel,
-    batched_eligible,
-    select_backend,
-)
+from repro.core.batched import COMPUTE_MODES, batched_eligible, select_backend
 from repro.core.vectorized import Alg1VecKernel, DiMa2EdVecKernel
 from repro.core.dima2ed import StrongColoringParams, strong_color_arcs
 from repro.core.edge_coloring import EdgeColoringParams, color_edges
@@ -47,10 +43,12 @@ class TestBatchedEligible:
         assert not batched_eligible(**{**ELIGIBLE, "compute": "pernode"})
 
     def test_compute_batched_same_gates(self):
-        assert batched_eligible(**{**ELIGIBLE, "compute": "batched"})
-        assert not batched_eligible(
-            **{**ELIGIBLE, "compute": "batched", "strict": False}
-        )
+        # Pinning a kernel changes which one runs, never the gates.
+        for compute in ("vectorized", "numba", "sharded"):
+            assert batched_eligible(**{**ELIGIBLE, "compute": compute})
+            assert not batched_eligible(
+                **{**ELIGIBLE, "compute": compute, "strict": False}
+            )
 
     @pytest.mark.parametrize(
         "override",
@@ -71,16 +69,20 @@ class TestBatchedEligible:
         with pytest.raises(ConfigurationError):
             batched_eligible(**{**ELIGIBLE, "compute": "nope"})
 
+    def test_retired_batched_mode_raises(self):
+        # Not an alias for any kernel: it fails like any unknown mode.
+        assert "batched" not in COMPUTE_MODES
+        with pytest.raises(ConfigurationError, match="compute must be one of"):
+            batched_eligible(**{**ELIGIBLE, "compute": "batched"})
+
 
 @pytest.fixture
 def forbid_kernels(monkeypatch):
-    """Make any batched-kernel activation explode loudly."""
+    """Make any kernel activation explode loudly."""
 
     def boom(self, *args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("batched kernel selected for a gated configuration")
 
-    monkeypatch.setattr(Alg1Kernel, "bind", boom)
-    monkeypatch.setattr(DiMa2EdKernel, "bind", boom)
     monkeypatch.setattr(Alg1VecKernel, "bind_graph", boom)
     monkeypatch.setattr(DiMa2EdVecKernel, "bind_graph", boom)
 
@@ -107,7 +109,7 @@ class TestSilentFallback:
 
     def test_sampled_tracer_also_falls_back(self, forbid_kernels):
         # A sampling tracer keeps the *delivery* fast path, but the
-        # batched core emits no events at all, so any tracer gates it.
+        # kernels emit no events at all, so any tracer gates them.
         g = erdos_renyi_avg_degree(20, 3.0, seed=0)
         tracer = EventTracer(64, sample={"*": 10})
         res = color_edges(g, seed=0, tracer=tracer)
@@ -155,14 +157,14 @@ class TestSilentFallback:
 
 
 class TestBatchedTelemetry:
-    """Telemetry collected by the batched core is the per-node stream."""
+    """Telemetry collected on BatchedEngine is the per-node stream."""
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_alg1_telemetry_byte_identical(self, seed):
         g = erdos_renyi_avg_degree(60, 5.0, seed=seed)
         per_node, batched = AutomatonTelemetry(), AutomatonTelemetry()
         a = color_edges(g, seed=seed, compute="pernode", telemetry=per_node)
-        b = color_edges(g, seed=seed, compute="batched", telemetry=batched)
+        b = color_edges(g, seed=seed, compute="vectorized", telemetry=batched)
         assert json.dumps(per_node.to_dict()) == json.dumps(batched.to_dict())
         assert a.metrics.to_dict() == b.metrics.to_dict()
 
@@ -171,7 +173,7 @@ class TestBatchedTelemetry:
         d = erdos_renyi_avg_degree(40, 4.0, seed=seed).to_directed()
         per_node, batched = AutomatonTelemetry(), AutomatonTelemetry()
         a = strong_color_arcs(d, seed=seed, compute="pernode", telemetry=per_node)
-        b = strong_color_arcs(d, seed=seed, compute="batched", telemetry=batched)
+        b = strong_color_arcs(d, seed=seed, compute="vectorized", telemetry=batched)
         assert json.dumps(per_node.to_dict()) == json.dumps(batched.to_dict())
         assert a.metrics.to_dict() == b.metrics.to_dict()
 
@@ -183,8 +185,8 @@ class TestSelectBackend:
     bit-identical; the choice is purely speed)."""
 
     def test_explicit_pins(self):
-        assert select_backend("batched") == "batched"
         assert select_backend("vectorized") == "vectorized"
+        assert select_backend("sharded") == "sharded"
 
     @pytest.mark.parametrize("compute", ["auto", "numba"])
     def test_numba_absent_falls_back_to_vectorized(self, compute, monkeypatch):
@@ -197,8 +199,8 @@ class TestSelectBackend:
         assert select_backend(compute) == "numba"
 
     def test_auto_routes_to_a_vec_kernel(self, monkeypatch):
-        """compute="auto" on an eligible run must instantiate the plane
-        kernels, not the bigint ones."""
+        """compute="auto" on an eligible run without numba must
+        instantiate the plane kernels."""
         bound = []
         orig = Alg1VecKernel.bind_graph
 

@@ -1,6 +1,7 @@
 """Unit tests for the experiments CLI --selfcheck option."""
 
-import repro.core.batched as batched
+import repro.core.vectorized as vectorized
+from repro.core.palette import planes_popcount
 from repro.experiments.cli import main, run_selfcheck
 
 
@@ -13,11 +14,11 @@ class TestSelfcheck:
         assert "all tiers agree" in out
 
     def test_divergence_aborts_the_run(self, capsys, monkeypatch):
-        orig = batched.lowest_free_bit
+        orig = vectorized.planes_lowest_free
         monkeypatch.setattr(
-            batched,
-            "lowest_free_bit",
-            lambda mask: orig(mask) + (1 if bin(mask).count("1") >= 2 else 0),
+            vectorized,
+            "planes_lowest_free",
+            lambda planes: orig(planes) + (planes_popcount(planes) >= 2),
         )
         code = main(["fig3", "--scale", "0.02", "--selfcheck"])
         assert code == 1

@@ -47,7 +47,7 @@ def _observed(graph, tmp_path, **kwargs):
     return result.colors, result.supersteps, metrics, pub
 
 
-@pytest.mark.parametrize("compute", ["auto", "pernode", "batched"])
+@pytest.mark.parametrize("compute", ["auto", "pernode", "vectorized"])
 def test_observed_run_is_bit_identical(graph, tmp_path, compute):
     colors, supersteps, metrics = _bare(graph, compute=compute)
     metrics = {k: v for k, v in metrics.items() if k != "phase_seconds"}

@@ -270,8 +270,8 @@ class TestPhaseProfiler:
 
     def test_engine_fills_metrics(self, er_graph):
         prof = PhaseProfiler()
-        result = color_edges(er_graph, seed=3, profiler=prof, compute="batched")
-        assert set(result.metrics.phase_seconds) == {"compute", "delivery"}
+        result = color_edges(er_graph, seed=3, profiler=prof, compute="vectorized")
+        assert set(result.metrics.phase_seconds) == {"compute"}
         assert result.metrics.phase_seconds == prof.as_dict()
         report = result.metrics.report()
         assert "phase profile:" in report

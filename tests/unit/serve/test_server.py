@@ -2,8 +2,8 @@
 
 Most cases drive :meth:`ColoringServer.handle_request` /
 :meth:`handle_line` synchronously — the same code path the event loop
-runs, minus the sockets.  One end-to-end case starts a real server on a
-loopback port via :class:`ServerThread` and talks NDJSON through
+runs, minus the sockets.  The end-to-end cases start a real server on
+a loopback port via :class:`ServerThread` and talk NDJSON through
 :class:`ServeClient`.
 """
 
@@ -11,7 +11,9 @@ import json
 
 import pytest
 
+import repro.serve.protocol as protocol
 from repro.errors import ProtocolError
+from repro.graphs.generators import erdos_renyi_avg_degree
 from repro.obs.live import SnapshotPublisher, read_ring
 from repro.obs.registry import MetricsRegistry
 from repro.serve.protocol import ServeClient
@@ -162,3 +164,40 @@ class TestEndToEnd:
         fresh = SessionManager(state_dir=tmp_path)
         assert fresh.load() == 1
         assert fresh.get("e2e").graph.has_edge(3, 0)
+
+
+class TestLineLimit:
+    """A request line is bounded by ``protocol.MAX_LINE_BYTES``, not by
+    the stream reader's 64 KiB default, and an over-limit line gets an
+    error response rather than a dropped connection."""
+
+    def test_create_past_64_kib_succeeds(self):
+        g = erdos_renyi_avg_degree(3_200, 8.0, seed=1)
+        edges = [[u, v] for u, v in g.edges()]
+        assert len(edges) >= 12_000
+        request = {"op": "create", "id": 1, "name": "big", "edges": edges}
+        assert len(protocol.encode(request)) > 64 * 1024
+        with ServerThread(ColoringServer(SessionManager())) as srv:
+            with ServeClient(srv.host, srv.port, timeout=60.0) as client:
+                info = client.request("create", name="big", edges=edges)
+                assert info["session"]["edges"] == len(edges)
+                assert client.request("ping")["ok"]
+
+    def test_over_limit_line_gets_error_response(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 1024)
+        registry = MetricsRegistry()
+        server = ColoringServer(SessionManager(), registry=registry)
+        with ServerThread(server) as srv:
+            with ServeClient(srv.host, srv.port, timeout=30.0) as client:
+                with pytest.raises(ProtocolError, match="exceeds 1024 bytes"):
+                    client.request("create", name="x", edges=[[0, 1]] * 600)
+                # The rest of an overrun line may still be in flight, so
+                # the server hangs up after answering.
+                with pytest.raises((ProtocolError, ConnectionError)):
+                    client.request("ping")
+            # Only that client was dropped; others carry on.
+            with ServeClient(srv.host, srv.port, timeout=30.0) as client:
+                assert client.request("ping")["ok"]
+        errors = registry.snapshot()["repro_serve_errors"]["samples"]
+        assert errors[0]["value"] == 1
+

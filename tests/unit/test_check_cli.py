@@ -43,7 +43,7 @@ class TestTierParsing:
         assert _parse_tiers("all") is None
 
     def test_subset(self):
-        assert _parse_tiers("general,batched") == ["general", "batched"]
+        assert _parse_tiers("general,vectorized") == ["general", "vectorized"]
 
     def test_unknown_rejected(self):
         with pytest.raises(argparse.ArgumentTypeError):
@@ -64,7 +64,7 @@ class TestCheckCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "dima2ed" not in out
-        assert "batched" not in out
+        assert "vectorized" not in out
 
     def test_replay_clean_counterexample(self, tmp_path, capsys):
         ce = Counterexample(
@@ -96,13 +96,14 @@ class TestFuzzCommand:
         assert "no divergence" in out
 
     def test_divergence_exits_nonzero(self, tmp_path, capsys, monkeypatch):
-        import repro.core.batched as batched
+        import repro.core.vectorized as vectorized
+        from repro.core.palette import planes_popcount
 
-        orig = batched.lowest_free_bit
+        orig = vectorized.planes_lowest_free
         monkeypatch.setattr(
-            batched,
-            "lowest_free_bit",
-            lambda mask: orig(mask) + (1 if bin(mask).count("1") >= 2 else 0),
+            vectorized,
+            "planes_lowest_free",
+            lambda planes: orig(planes) + (planes_popcount(planes) >= 2),
         )
         code = fuzz_main(
             [

@@ -42,10 +42,10 @@ def make_run(tier="general", **overrides):
 
 class TestFieldDiffing:
     def test_identical_runs_have_no_divergence(self):
-        assert _diff_runs(make_run(), make_run(tier="batched")) == []
+        assert _diff_runs(make_run(), make_run(tier="vectorized")) == []
 
     def test_color_value_mismatch_lists_the_edge(self):
-        other = make_run(tier="batched", colors={(0, 1): 0, (1, 2): 5})
+        other = make_run(tier="vectorized", colors={(0, 1): 0, (1, 2): 5})
         divs = _diff_runs(make_run(), other)
         fields = [d.field for d in divs]
         assert "colors" in fields
@@ -84,7 +84,7 @@ class TestFieldDiffing:
     def test_pure_telemetry_divergence_still_reported(self):
         # Same final answer, different path: still an equivalence failure.
         other = make_run(
-            tier="batched",
+            tier="vectorized",
             state_histograms=[{"C": 3}, {"L": 2, "W": 1}, {"E": 3}],
         )
         divs = _diff_runs(make_run(), other)
@@ -100,7 +100,7 @@ class TestFieldDiffing:
 
     def test_length_mismatch_pins_the_shorter_end(self):
         other = make_run(
-            tier="batched",
+            tier="vectorized",
             state_histograms=[{"C": 3}, {"W": 2, "L": 1}],
             done_per_superstep=[0, 0],
             supersteps=8,
