@@ -57,9 +57,9 @@ def _kwargs(config: str) -> Dict[str, Any]:
     if config == "baseline-batched":
         return {}
     if config == "baseline-general":
-        return dict(fastpath=False, compute="pernode")
+        return dict(compute="general")
     if config == "monitors-disabled":
-        return dict(fastpath=False, compute="pernode", monitors=None)
+        return dict(compute="general", monitors=None)
     if config == "monitored":
         return dict(monitors=default_monitors())
     raise ValueError(f"unknown config {config}")

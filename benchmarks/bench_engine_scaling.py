@@ -10,8 +10,9 @@ three workloads —
   broadcasts, unicast fans, staggered halting);
 * ``dima2ed``  — the DiMa2Ed strong coloring on the symmetric closure —
 
-and runs each with the seed engine's general loop (``fastpath=False``,
-``compute="pernode"``), the fast delivery path (``fastpath=True``), and
+and runs each with the seed engine's general loop (``compute="general"``;
+``fastpath=False`` on the flood probe's engine), the fast delivery path
+(``compute="pernode"``), and
 — for the two algorithm kinds — the fused palette-plane kernels
 (``compute="vectorized"``), the disk-backed sharded tier
 (``compute="sharded"``; skipped where no spill directory is writable)
@@ -140,11 +141,11 @@ def _digest(obj: Any) -> str:
 #: path, ``vectorized`` the fused palette-plane kernels, ``numba`` the
 #: JIT round kernel (requires numba), ``sharded`` the disk-backed tier.
 MODES: Dict[str, Dict[str, Any]] = {
-    "general": dict(fastpath=False, compute="pernode"),
-    "fast": dict(fastpath=True, compute="pernode"),
-    "vectorized": dict(fastpath=True, compute="vectorized"),
-    "numba": dict(fastpath=True, compute="numba"),
-    "sharded": dict(fastpath=True, compute="sharded"),
+    "general": dict(compute="general"),
+    "fast": dict(compute="pernode"),
+    "vectorized": dict(compute="vectorized"),
+    "numba": dict(compute="numba"),
+    "sharded": dict(compute="sharded"),
 }
 
 #: ``to_dict`` fields only the sharded tier carries; the wall-clock and
@@ -202,7 +203,7 @@ def _run_one(spec: Dict[str, Any], mode: str, repeats: int) -> Dict[str, Any]:
         t0 = time.perf_counter()
         if kind == "flood":
             run = SynchronousEngine(
-                g, Flood, seed=RUN_SEED, fastpath=kwargs["fastpath"]
+                g, Flood, seed=RUN_SEED, fastpath=mode != "general"
             ).run()
             w = time.perf_counter() - t0
             m, r = run.metrics.to_dict(), run.supersteps
@@ -467,7 +468,7 @@ def profile_workload(name: str, repeats: int) -> int:
                     g,
                     Flood,
                     seed=RUN_SEED,
-                    fastpath=kwargs["fastpath"],
+                    fastpath=mode != "general",
                     profiler=prof,
                 ).run()
                 phases = dict(run.metrics.phase_seconds)

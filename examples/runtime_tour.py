@@ -5,19 +5,19 @@ The coloring algorithms are ordinary :class:`NodeProgram` subclasses;
 this example builds a new one from scratch — a synchronous *broadcast
 echo* that measures the network's eccentricity from a root — and shows
 the runtime facilities around it: metrics, tracing, fault injection,
-and the multiprocessing executor producing bit-identical results.
+and the asynchronous engine producing bit-identical results.
 
 Run:  python examples/runtime_tour.py
 """
 
 from repro.graphs.generators import grid_graph
 from repro.runtime import (
+    AsyncEngine,
     DropRandomMessages,
     EventTracer,
     NodeProgram,
     SynchronousEngine,
 )
-from repro.runtime.parallel import ParallelEngine
 
 
 class FloodEcho(NodeProgram):
@@ -72,8 +72,10 @@ def main() -> None:
     print(f"tracer captured {len(tracer)} 'reached' events; "
           f"last node reached: {tracer.events[-1].node}")
 
-    par_distances, _ = run_flood(ParallelEngine, grid, workers=3)
-    print(f"parallel engine (3 workers) identical: {par_distances == distances}")
+    # Random link delays of up to 3 ticks, hidden by the α-synchronizer:
+    # the program sees the same pulses, so it computes the same answer.
+    async_distances, _ = run_flood(AsyncEngine, grid, max_delay=3)
+    print(f"async engine (delays up to 3) identical: {async_distances == distances}")
 
     # Fault injection: with 30% message loss the wave can miss nodes —
     # the run still terminates (halting is local), but distances become

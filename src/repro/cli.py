@@ -69,7 +69,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.baselines import greedy_edge_coloring, misra_gries_edge_coloring
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.core.batched import COMPUTE_MODES
 from repro.core.dima2ed import strong_color_arcs
 from repro.core.edge_coloring import color_edges
@@ -548,14 +548,28 @@ def build_check_parser() -> argparse.ArgumentParser:
 
 
 def check_main(argv: Optional[List[str]] = None) -> int:
-    """``repro check`` entry point.  Exit 0 iff every tier agrees."""
-    from repro.verify.differential import diff_tiers
-    from repro.verify.fuzz import replay
+    """``repro check`` entry point.
 
+    Exit 0 iff every tier agrees and 1 when tiers disagree.  Bad input
+    exits 2 with one line on stderr: a usage error, a graph or
+    counterexample file that cannot be read or parsed, or a
+    counterexample naming a tier this checkout lacks.
+    """
     args = build_check_parser().parse_args(argv)
     if (args.graph is None) == (args.replay is None):
         print("repro check: give exactly one of GRAPH or --replay", file=sys.stderr)
         return 2
+    try:
+        return _check(args)
+    except (ReproError, OSError) as exc:
+        print(f"repro check: {exc}", file=sys.stderr)
+        return 2
+
+
+def _check(args: argparse.Namespace) -> int:
+    from repro.verify.differential import diff_tiers
+    from repro.verify.fuzz import replay
+
     if args.replay is not None:
         report = replay(args.replay, tiers=args.tiers)
         print(report.summary())

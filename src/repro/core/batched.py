@@ -11,6 +11,7 @@ them and which one it gets:
 * :func:`batched_eligible` — the gates (strict model, no faults,
   transport, tracer, monitors or recovery extensions); anything else
   runs the per-node programs, silently, with identical results;
+  ``compute="pernode"`` and ``compute="general"`` never use a kernel;
 * :func:`select_backend` — which member of the family a ``compute``
   mode names;
 * :func:`run_kernel` — build that kernel from one table keyed by
@@ -35,7 +36,7 @@ from repro.runtime.engine import BatchedEngine, RunResult
 __all__ = ["COMPUTE_MODES", "batched_eligible", "run_kernel", "select_backend"]
 
 #: The ``compute=`` values the algorithm wrappers accept.
-COMPUTE_MODES = ("auto", "vectorized", "numba", "sharded", "pernode")
+COMPUTE_MODES = ("auto", "vectorized", "numba", "sharded", "pernode", "general")
 
 #: ``(algorithm, backend) -> (module, kernel class)``.  Resolved on use,
 #: so importing the dispatch code pulls in no kernel module.
@@ -73,7 +74,6 @@ def select_backend(compute: str) -> str:
 def batched_eligible(
     *,
     compute: str,
-    fastpath: bool,
     strict: bool,
     faults: object,
     transport: object,
@@ -88,8 +88,10 @@ def batched_eligible(
     ``"auto"`` (fastest eligible kernel), ``"vectorized"``/``"numba"``/
     ``"sharded"`` (pin a kernel — same gates, and ineligible
     configurations still fall back silently to the per-node loop,
-    results identical either way) and ``"pernode"`` (never a kernel;
-    the benchmarks use it to measure the per-node cores).  Unknown modes
+    results identical either way), ``"pernode"`` (never a kernel: the
+    per-node programs, on the engine's fast delivery path where the
+    engine allows it) and ``"general"`` (never a kernel and never the
+    fast path: the engine's reference delivery loop).  Unknown modes
     raise regardless of the other arguments.  Which kernel an eligible
     run instantiates is :func:`select_backend`'s decision.
 
@@ -104,11 +106,10 @@ def batched_eligible(
         raise ConfigurationError(
             f"compute must be one of {COMPUTE_MODES}, got {compute!r}"
         )
-    if compute == "pernode":
+    if compute in ("pernode", "general"):
         return False
     return (
-        fastpath
-        and strict
+        strict
         and faults is None
         and transport is None
         and tracer is None

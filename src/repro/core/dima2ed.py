@@ -474,7 +474,6 @@ def strong_color_arcs(
     telemetry: Optional[AutomatonTelemetry] = None,
     profiler: Optional[PhaseProfiler] = None,
     check_consistency: bool = True,
-    fastpath: bool = True,
     compute: str = "auto",
     monitors: Optional[Sequence] = None,
     publisher=None,
@@ -491,8 +490,7 @@ def strong_color_arcs(
         on bidirectionality, so asymmetric inputs are rejected.  Build
         one from an undirected graph with ``Graph.to_directed()``.
     seed, params, faults, transport, tracer, telemetry, profiler,
-    check_consistency, fastpath, compute, monitors, publisher, shards,
-    spill_dir:
+    check_consistency, compute, monitors, publisher, shards, spill_dir:
         As in :func:`repro.core.edge_coloring.color_edges`.
 
     Raises
@@ -521,7 +519,6 @@ def strong_color_arcs(
     transport_cfg = _resolve_transport(transport)
     if batched_eligible(
         compute=compute,
-        fastpath=fastpath,
         strict=params.strict,
         faults=faults,
         transport=transport_cfg,
@@ -597,7 +594,7 @@ def strong_color_arcs(
         tracer=tracer,
         telemetry=telemetry,
         profiler=profiler,
-        fastpath=fastpath,
+        fastpath=compute != "general",
         monitors=monitors,
         publisher=publisher,
     )

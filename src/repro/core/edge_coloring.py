@@ -510,7 +510,6 @@ def color_edges(
     telemetry: Optional[AutomatonTelemetry] = None,
     profiler: Optional[PhaseProfiler] = None,
     check_consistency: bool = True,
-    fastpath: bool = True,
     compute: str = "auto",
     monitors: Optional[Sequence] = None,
     publisher=None,
@@ -552,9 +551,6 @@ def color_edges(
         edge (Proposition 2's no-disagreement property).  Disable only
         when running with faults, where disagreement is an expected
         observable.
-    fastpath:
-        Forwarded to :class:`SynchronousEngine` — results are identical
-        either way; disable only to measure the general delivery loop.
     compute:
         Compute-core selection: ``"auto"`` (default) runs the fastest
         whole-population kernel whenever the configuration is eligible
@@ -565,9 +561,13 @@ def color_edges(
         vectorized kernel when numba is absent), ``"sharded"`` the
         disk-backed memory-bounded tier (:mod:`repro.runtime.sharded`;
         opt-in only — never chosen by ``"auto"``) — all under the same
-        gates, with ineligible configurations falling back silently;
-        ``"pernode"`` never uses a kernel.  Results are bit-identical
-        across every mode (:data:`repro.core.batched.COMPUTE_MODES`).
+        gates, with ineligible configurations falling back silently.
+        ``"pernode"`` never uses a kernel: it runs the per-node programs
+        on :class:`SynchronousEngine`'s fast delivery path where the
+        engine allows it.  ``"general"`` runs them on the engine's
+        reference delivery loop, which handles every configuration.
+        Results are bit-identical across every mode
+        (:data:`repro.core.batched.COMPUTE_MODES`).
     monitors:
         Optional runtime invariant monitors
         (:mod:`repro.verify.monitors`); a monitored run executes on the
@@ -608,7 +608,6 @@ def color_edges(
     transport_cfg = _resolve_transport(transport)
     if batched_eligible(
         compute=compute,
-        fastpath=fastpath,
         strict=params.strict,
         faults=faults,
         transport=transport_cfg,
@@ -689,7 +688,7 @@ def color_edges(
         tracer=tracer,
         telemetry=telemetry,
         profiler=profiler,
-        fastpath=fastpath,
+        fastpath=compute != "general",
         monitors=monitors,
         publisher=publisher,
     )

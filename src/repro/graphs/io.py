@@ -19,12 +19,18 @@ Both come gzip-compressed as a rule; any ``.gz`` path is decompressed
 on the fly (streamed — never materialized).  Foreign ids are relabeled
 to contiguous ``0..n-1`` in first-seen order with ``relabel=True``,
 single pass, returning the mapping alongside the graph.
+
+Every malformed input raises :class:`~repro.errors.GraphError` naming
+the path: a bad line or header, a corrupt or truncated ``.gz``, bytes
+that are not UTF-8, and (native format) a negative vertex id.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import zlib
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -38,6 +44,10 @@ PathLike = Union[str, Path]
 #: Comment prefixes tolerated on input: ``#`` (native, SNAP) and
 #: ``%`` (MatrixMarket, including the ``%%MatrixMarket`` banner).
 _COMMENT_PREFIXES = ("#", "%")
+
+#: What a corrupt or truncated ``.gz`` stream, or bytes that are not
+#: UTF-8, raise while a file is read.
+_DECODE_ERRORS = (gzip.BadGzipFile, EOFError, zlib.error, UnicodeDecodeError)
 
 
 def write_edge_list(g: Graph, path: PathLike) -> None:
@@ -61,6 +71,44 @@ def _open_text(path: PathLike, mode: str):
     if str(path).endswith(".gz"):
         return gzip.open(path, mode, encoding="utf-8")
     return open(path, mode.replace("t", ""), encoding="utf-8")
+
+
+@contextmanager
+def _naming(path: PathLike):
+    """Prefix a GraphError raised while building the graph (a self-loop
+    in the native format) with the path it came from."""
+    try:
+        yield
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _reading(path: PathLike):
+    """Text handle for reading ``path``; decoding failures become GraphError.
+
+    The handler wraps the whole read, so it costs nothing per line.
+    """
+    try:
+        with _open_text(path, "rt") as fh:
+            yield fh
+    except _DECODE_ERRORS as exc:
+        raise GraphError(
+            f"{path}: cannot decode input ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _check_no_negative_ids(path: PathLike, g, n: int) -> None:
+    """Reject negative ids in a graph built over labels ``0..n-1``.
+
+    ``n`` already exceeds every id read, so a node beyond the ``n``
+    pre-built ones can only be negative — an O(1) check, not a scan.
+    """
+    if g.num_nodes != n:
+        raise GraphError(
+            f"{path}: negative vertex id {min(g.nodes())}; the native format "
+            "holds ids 0..n-1 (read foreign ids with relabel=True)"
+        )
 
 
 def _write_pairs(fh: io.TextIOBase, nodes, pairs) -> None:
@@ -103,7 +151,9 @@ def read_edge_list(
         return _read_relabeled(path, num_vertices)
     n, pairs = _read_pairs(path, num_vertices)
     g = Graph.from_num_nodes(n)
-    g.add_edges_from(pairs)
+    with _naming(path):
+        g.add_edges_from(pairs)
+    _check_no_negative_ids(path, g, n)
     return g
 
 
@@ -111,7 +161,9 @@ def read_arc_list(path: PathLike) -> DiGraph:
     """Read a digraph written by :func:`write_arc_list`."""
     n, pairs = _read_pairs(path)
     d = DiGraph.from_num_nodes(n)
-    d.add_arcs_from(pairs)
+    with _naming(path):
+        d.add_arcs_from(pairs)
+    _check_no_negative_ids(path, d, n)
     return d
 
 
@@ -134,7 +186,7 @@ def _parse_lines(
     is_mtx = name.endswith((".mtx", ".mtx.gz"))
     header_pending = is_mtx
     allowed = (2, 3) if (lenient or is_mtx) else (2,)
-    with _open_text(path, "rt") as fh:
+    with _reading(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith(_COMMENT_PREFIXES):
@@ -145,13 +197,16 @@ def _parse_lines(
                 # entry — consumed once, before the first coordinate.
                 header_pending = False
                 if len(parts) == 3:
+                    try:
+                        size = max(int(parts[0]), int(parts[1]))
+                        int(parts[2])
+                    except ValueError as exc:
+                        raise GraphError(
+                            f"{path}:{lineno}: non-integer MatrixMarket "
+                            f"size line {line!r}"
+                        ) from exc
                     if declared is not None:
-                        try:
-                            declared["size"] = max(
-                                int(parts[0]), int(parts[1])
-                            )
-                        except ValueError:
-                            pass  # malformed size line: no declared size
+                        declared["size"] = size
                     continue
             if len(parts) not in allowed:
                 raise GraphError(f"{path}:{lineno}: expected 'u v', got {line!r}")
@@ -189,7 +244,7 @@ def _read_pairs(path: PathLike, num_vertices: Optional[int] = None):
 
 def _read_nodes_header(path: PathLike):
     """The ``# nodes: n`` header value, scanning comments only."""
-    with _open_text(path, "rt") as fh:
+    with _reading(path) as fh:
         for raw in fh:
             line = raw.strip()
             if not line:
@@ -198,7 +253,13 @@ def _read_nodes_header(path: PathLike):
                 return None
             body = line[1:].strip()
             if body.startswith("nodes:"):
-                return int(body.split(":", 1)[1])
+                value = body.split(":", 1)[1].strip()
+                if not value.isdecimal():
+                    raise GraphError(
+                        f"{path}: '# nodes:' header needs a non-negative "
+                        f"integer, got {value!r}"
+                    )
+                return int(value)
     return None
 
 

@@ -282,7 +282,6 @@ def resume_engine(
     max_supersteps: int = 100_000,
     tracer=None,
     profiler=None,
-    fastpath: bool = True,
     checkpointer: Optional[Checkpointer] = None,
     publisher=None,
     registry=None,
@@ -298,7 +297,10 @@ def resume_engine(
     mutable memmaps go — a private temp dir when omitted).  The
     topology must be the one the capturing engine ran on — the engine
     validates the stored fingerprint on thaw.  Pass ``checkpointer`` to
-    keep snapshotting during the resumed leg.
+    keep snapshotting during the resumed leg.  A ``"pernode"`` snapshot
+    thaws on the fast delivery path unless its configuration needs the
+    general loop; to pick the core, build ``SynchronousEngine(topology,
+    factory, resume=checkpoint, fastpath=...)`` directly.
 
     Observability does not ride inside checkpoints (publishers hold
     file paths, registries live aggregation state), so a resumed run
@@ -345,7 +347,6 @@ def resume_engine(
         strict=checkpoint.meta.get("strict", True),
         tracer=tracer,
         profiler=profiler,
-        fastpath=fastpath,
         checkpointer=checkpointer,
         resume=checkpoint,
         publisher=publisher,

@@ -185,7 +185,6 @@ def supervise_edge_coloring(
     policy: Optional[SupervisionPolicy] = None,
     monitors: Optional[Sequence] = None,
     tracer=None,
-    fastpath: bool = True,
     store: Optional[CheckpointStore] = None,
     publisher=None,
     registry=None,
@@ -287,7 +286,6 @@ def supervise_edge_coloring(
         faults=faults,
         tracer=tracer,
         telemetry=telemetry,
-        fastpath=fastpath,
         monitors=monitors,
         checkpointer=checkpointer,
         publisher=publisher,
@@ -344,7 +342,6 @@ def supervise_edge_coloring(
             work,
             max_supersteps=limit,
             tracer=tracer,
-            fastpath=fastpath,
             checkpointer=checkpointer,
             publisher=publisher,
         )

@@ -13,8 +13,10 @@ One of the paper's "computation rounds" spans four supersteps (invite /
 respond / update / exchange); programs keep their own round counters.
 
 Determinism: a run is a pure function of ``(topology, program factory,
-seed)``.  Per-node RNG streams are spawned from one ``SeedSequence``, so
-sequential and multiprocessing executions produce identical results.
+seed)``.  Per-node RNG streams are spawned from one ``SeedSequence`` and
+depend only on ``(seed, node_id)``, so every execution core — both
+delivery loops, the whole-population kernels and the asynchronous
+engine — produces identical results.
 """
 
 from repro.runtime.message import BROADCAST, Message

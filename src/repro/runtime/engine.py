@@ -173,8 +173,9 @@ class SynchronousEngine:
         when ``faults is None``, ``strict`` is on, and any ``tracer`` is
         sampled (``EventTracer.fastpath_compatible``); other
         configurations fall back to the general loop.  Results are
-        identical either way — disable only to measure the general loop
-        (``benchmarks/bench_engine_scaling.py`` does).
+        identical either way.  Disable it to run the reference loop:
+        the algorithm wrappers' ``compute="general"`` mode does, and so
+        does ``benchmarks/bench_engine_scaling.py``'s flood probe.
     monitors:
         Optional sequence of runtime invariant monitors (see
         :mod:`repro.verify.monitors`).  Each gets ``begin_run`` after

@@ -5,8 +5,8 @@ that runs on *one* compute node — plus a factory that instantiates it per
 vertex.  Programs interact with the world only through their
 :class:`Context`: they read their id / neighbor list / RNG from it, and
 send messages through it.  This confinement is what makes the programs
-executable both by the sequential engine and by the multiprocessing
-executor without modification.
+executable both by the synchronous engine and by the asynchronous engine
+without modification.
 """
 
 from __future__ import annotations

@@ -238,9 +238,9 @@ def _state_of(program) -> str:
 class AutomatonTelemetry:
     """Per-superstep counters over the automaton states of a run.
 
-    Attach one to an engine (``SynchronousEngine(..., telemetry=t)`` or
-    ``ParallelEngine(..., telemetry=t)``) or to an algorithm wrapper
-    (``color_edges(graph, telemetry=t)``).  After the run:
+    Attach one to an engine (``SynchronousEngine(..., telemetry=t)``)
+    or to an algorithm wrapper (``color_edges(graph, telemetry=t)``).
+    After the run:
 
     * :attr:`state_histograms` — one ``{state_char: count}`` dict per
       superstep, over exactly the nodes stepped that superstep (so each
@@ -255,8 +255,7 @@ class AutomatonTelemetry:
     Collection is read-only over program state and never touches message
     delivery, so telemetry keeps the engine's fast path engaged and runs
     are bit-identical with it on or off (pinned by the property suite).
-    The object is picklable and :meth:`merge`-able, which is how the
-    multiprocessing engine folds per-worker telemetry back together.
+    The object is picklable, so checkpoints carry it mid-run.
     """
 
     def __init__(self) -> None:
@@ -386,38 +385,6 @@ class AutomatonTelemetry:
         if not total:
             return 1.0
         return self._done_total / total
-
-    def merge(self, other: "AutomatonTelemetry") -> "AutomatonTelemetry":
-        """Fold another collector (e.g. one worker's slice) into this one.
-
-        Superstep-indexed series are merged element-wise; a shorter
-        cumulative-done series is padded with its last value (a worker
-        whose slice finished early stays converged).
-        """
-        n = max(len(self.state_histograms), len(other.state_histograms))
-        while len(self.state_histograms) < n:
-            self.state_histograms.append({})
-        for i, hist in enumerate(other.state_histograms):
-            mine = self.state_histograms[i]
-            for state, count in hist.items():
-                mine[state] = mine.get(state, 0) + count
-        for before, row in other.transitions.items():
-            mine_row = self.transitions.setdefault(before, {})
-            for after, count in row.items():
-                mine_row[after] = mine_row.get(after, 0) + count
-
-        def padded(series: List[int], length: int) -> List[int]:
-            if len(series) >= length:
-                return series
-            tail = series[-1] if series else 0
-            return series + [tail] * (length - len(series))
-
-        a = padded(self.done_per_superstep, n)
-        b = padded(other.done_per_superstep, n)
-        self.done_per_superstep = [x + y for x, y in zip(a, b)]
-        self.work_total += other.work_total
-        self._done_total += other._done_total
-        return self
 
     def state_totals(self) -> Dict[str, int]:
         """Total (node, superstep) observations per state over the run."""

@@ -7,8 +7,8 @@ properties matter:
 * **Independence** — spawned child sequences are statistically
   independent, so node decisions do not correlate through seed reuse.
 * **Placement invariance** — a node's stream depends only on
-  ``(run_seed, node_id)``, never on scheduling order, so the sequential
-  engine and the multiprocessing executor make identical random choices.
+  ``(run_seed, node_id)``, never on scheduling order, so the synchronous
+  and asynchronous engines make identical random choices.
 
 ``random.Random`` (not numpy) is used node-side because the algorithms
 draw scalars — coin flips and single choices from short lists — where the
@@ -34,9 +34,9 @@ def spawn_node_rngs(run_seed: int, n: int) -> List[random.Random]:
 def node_rng(run_seed: int, node_id: int, n: int) -> random.Random:
     """The RNG node ``node_id`` would receive from :func:`spawn_node_rngs`.
 
-    Used by the multiprocessing executor to rebuild a single node's
-    stream inside a worker without shipping RNG objects across the
-    process boundary.
+    Rebuilds one node's stream without holding the whole population's
+    RNG objects — the placement-invariance property above, stated as a
+    function.
     """
     if not 0 <= node_id < n:
         raise ValueError(f"node_id {node_id} out of range for n={n}")

@@ -1,10 +1,12 @@
 """Differential cross-tier equivalence runner.
 
-The repo carries seven executions of the same algorithm semantics:
+The repo carries six executions of the same algorithm semantics.  The
+five synchronous ones are ``compute=`` modes of the algorithm wrappers:
 
 * ``general`` — the per-node programs on the engine's general delivery
-  loop (``fastpath=False, compute="pernode"``), the reference tier;
-* ``fastpath`` — the same programs on the engine's fast-path delivery;
+  loop (``compute="general"``), the reference tier;
+* ``fastpath`` — the same programs on the engine's fast-path delivery
+  (``compute="pernode"``);
 * ``vectorized`` — the fused palette-plane kernels
   (:mod:`repro.core.vectorized`);
 * ``numba`` — the JIT-compiled round kernels
@@ -15,12 +17,10 @@ The repo carries seven executions of the same algorithm semantics:
   disk-backed shards (:class:`~repro.runtime.sharded.ShardedEngine`);
   skipped where no spill directory is writable or memmaps are
   unavailable;
-* ``parallel`` — the per-node programs sharded across OS processes
-  (:class:`~repro.runtime.parallel.ParallelEngine`);
 * ``async`` — the per-node programs under the α-synchronizer
   (:class:`~repro.runtime.async_engine.AsyncEngine`).
 
-All seven are documented as bit-identical.  This module makes that claim
+All six are documented as bit-identical.  This module makes that claim
 *checkable on demand* for any (algorithm, graph, seed) configuration:
 :func:`diff_tiers` runs a subset of tiers and diffs every comparable
 field — the coloring itself, round and superstep counts, the message
@@ -30,32 +30,30 @@ diverging superstep** is recovered.
 
 Comparable field sets differ by tier:
 
-=========  ========  ==========  ========  =============  ==========
-field      fastpath  vectorized  parallel  async          notes
-=========  ========  ==========  ========  =============  ==========
-colors     yes       yes         yes       yes            exact dict
-rounds     yes       yes         yes       yes
-supersteps yes       yes         yes       yes (pulses)
-metrics    all       all         all       all but        scalar
-                                           ``supersteps``  counters
-telemetry  yes       yes         yes       —              async runs
-                                                          untelemetered
-=========  ========  ==========  ========  =============  ==========
+=========  ========  ==========  =============  ==========
+field      fastpath  vectorized  async          notes
+=========  ========  ==========  =============  ==========
+colors     yes       yes         yes            exact dict
+rounds     yes       yes         yes
+supersteps yes       yes         yes (pulses)
+metrics    all       all         all but        scalar
+                                 ``supersteps``  counters
+telemetry  yes       yes         —              async runs
+                                                untelemetered
+=========  ========  ==========  =============  ==========
 
 ``numba`` and ``sharded`` compare on the same field set as
 ``vectorized`` (all scalar counters plus full telemetry).
 
-The ``parallel`` tier needs the ``fork`` start method, the ``numba``
-tier needs an importable numba, and the ``sharded`` tier needs a
-writable spill directory for its memmapped shards; all are reported as
-*skipped* (never silently dropped) where unavailable.
+The ``numba`` tier needs an importable numba and the ``sharded`` tier
+a writable spill directory for its memmapped shards; both are reported
+as *skipped* (never silently dropped) where unavailable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing as mp
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -77,13 +75,11 @@ from repro.errors import ConfigurationError
 from repro.graphs.adjacency import Graph
 from repro.runtime.async_engine import AsyncEngine
 from repro.runtime.observe import AutomatonTelemetry
-from repro.runtime.parallel import ParallelEngine
 
 __all__ = [
     "ALGORITHMS",
     "TIERS",
     "TierRun",
-    "TierSkipped",
     "Divergence",
     "DiffReport",
     "available_tiers",
@@ -99,18 +95,18 @@ TIERS = (
     "vectorized",
     "numba",
     "sharded",
-    "parallel",
     "async",
 )
 
-#: Tiers that run through the algorithm wrappers (``compute=`` modes).
-_WRAPPER_TIERS = (
-    "general",
-    "fastpath",
-    "vectorized",
-    "numba",
-    "sharded",
-)
+#: Tiers that run through the algorithm wrappers -> their ``compute=``
+#: mode.
+_WRAPPER_TIERS: Dict[str, str] = {
+    "general": "general",
+    "fastpath": "pernode",
+    "vectorized": "vectorized",
+    "numba": "numba",
+    "sharded": "sharded",
+}
 
 #: Scalar counters compared across the synchronous tiers.
 _METRIC_FIELDS: Tuple[str, ...] = (
@@ -129,10 +125,6 @@ _METRIC_FIELDS: Tuple[str, ...] = (
 _ASYNC_METRIC_FIELDS: Tuple[str, ...] = tuple(
     f for f in _METRIC_FIELDS if f != "supersteps"
 )
-
-
-class TierSkipped(ConfigurationError):
-    """Raised by :func:`run_tier` when a tier cannot run here."""
 
 
 @dataclass
@@ -250,9 +242,6 @@ def available_tiers(tiers: Optional[Sequence[str]] = None) -> Tuple[List[str], D
             f"unknown tier(s) {unknown}; expected a subset of {TIERS}"
         )
     skipped: Dict[str, str] = {}
-    if "parallel" in requested and "fork" not in mp.get_all_start_methods():
-        requested.remove("parallel")
-        skipped["parallel"] = "fork start method unavailable on this platform"
     if "numba" in requested:
         from repro.core.kernels_numba import numba_available
 
@@ -278,7 +267,6 @@ def run_tier(
     *,
     algorithm: str = "alg1",
     seed: int = 0,
-    workers: int = 2,
     max_delay: int = 3,
 ) -> TierRun:
     """Execute one tier on ``graph`` and return its comparable outputs.
@@ -294,27 +282,22 @@ def run_tier(
         )
     if tier in _WRAPPER_TIERS:
         return _run_wrapper_tier(tier, graph, algorithm, seed)
-    if tier == "parallel":
-        return _run_parallel_tier(graph, algorithm, seed, workers)
     if tier == "async":
         return _run_async_tier(graph, algorithm, seed, max_delay)
     raise ConfigurationError(f"unknown tier {tier!r}; expected one of {TIERS}")
 
 
 def _run_wrapper_tier(tier: str, graph: Graph, algorithm: str, seed: int) -> TierRun:
-    kwargs = {
-        "general": dict(fastpath=False, compute="pernode"),
-        "fastpath": dict(fastpath=True, compute="pernode"),
-        "vectorized": dict(compute="vectorized"),
-        "numba": dict(compute="numba"),
-        "sharded": dict(compute="sharded"),
-    }[tier]
+    compute = _WRAPPER_TIERS[tier]
     telemetry = AutomatonTelemetry()
     if algorithm == "alg1":
-        result = color_edges(graph, seed=seed, telemetry=telemetry, **kwargs)
+        result = color_edges(graph, seed=seed, telemetry=telemetry, compute=compute)
     else:
         result = strong_color_arcs(
-            coerce_graph(graph).to_directed(), seed=seed, telemetry=telemetry, **kwargs
+            coerce_graph(graph).to_directed(),
+            seed=seed,
+            telemetry=telemetry,
+            compute=compute,
         )
     return TierRun(
         tier=tier,
@@ -352,30 +335,6 @@ def _collect(run, inverse, algorithm: str) -> Dict[tuple, int]:
     if algorithm == "alg1":
         return _collect_edge_colors(run, inverse, True)
     return _collect_arc_colors(run, inverse, True)
-
-
-def _run_parallel_tier(graph: Graph, algorithm: str, seed: int, workers: int) -> TierRun:
-    if "fork" not in mp.get_all_start_methods():
-        raise TierSkipped("fork start method unavailable on this platform")
-    work, inverse, factory, budget = _engine_setup(graph, algorithm)
-    telemetry = AutomatonTelemetry()
-    run = ParallelEngine(
-        work,
-        factory,
-        seed=seed,
-        workers=workers,
-        max_supersteps=budget,
-        telemetry=telemetry,
-    ).run()
-    return TierRun(
-        tier="parallel",
-        colors=_collect(run, inverse, algorithm),
-        rounds=math.ceil(run.supersteps / PHASES_PER_ROUND),
-        supersteps=run.supersteps,
-        metrics=run.metrics.as_dict(),
-        state_histograms=list(telemetry.state_histograms),
-        done_per_superstep=list(telemetry.done_per_superstep),
-    )
 
 
 def _run_async_tier(graph: Graph, algorithm: str, seed: int, max_delay: int) -> TierRun:
@@ -482,7 +441,6 @@ def diff_tiers(
     algorithm: str = "alg1",
     seed: int = 0,
     tiers: Optional[Sequence[str]] = None,
-    workers: int = 2,
     max_delay: int = 3,
 ) -> DiffReport:
     """Run ``tiers`` on one (algorithm, graph, seed) and diff the results.
@@ -514,11 +472,8 @@ def diff_tiers(
                 graph,
                 algorithm=algorithm,
                 seed=seed,
-                workers=workers,
                 max_delay=max_delay,
             )
-        except TierSkipped as exc:  # pragma: no cover - raced availability
-            report.skipped[tier] = str(exc)
         except Exception as exc:  # noqa: BLE001 - any tier crash is a finding
             report.errors[tier] = f"{type(exc).__name__}: {exc}"
     if not report.runs:

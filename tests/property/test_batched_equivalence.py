@@ -7,8 +7,8 @@ host (numba where it imports, the vectorized plane kernels otherwise),
 driven by :class:`repro.runtime.engine.BatchedEngine`.  Nothing in the
 kernels shares code with the per-node programs, so equality here is an
 end-to-end proof that the default path preserves the semantics *and*
-the RNG draw sequence: the general per-node loop (``fastpath=False,
-compute="pernode"``) and the default path must agree on every coloring,
+the RNG draw sequence: the general per-node loop (``compute="general"``)
+and the default path must agree on every coloring,
 the round/superstep counts, the full metrics dict, the automaton
 telemetry dump and the final-state digest, for every graph family and
 seed.  Each pinned kernel is held to the same reference in
@@ -54,7 +54,7 @@ def test_alg1_batched_bit_identical(family, seed):
     g = FAMILIES[family](seed)
     ref_tel, tel = AutomatonTelemetry(), AutomatonTelemetry()
     reference = color_edges(
-        g, seed=seed, fastpath=False, compute="pernode", telemetry=ref_tel
+        g, seed=seed, compute="general", telemetry=ref_tel
     )
     batched = color_edges(g, seed=seed, telemetry=tel)
     assert batched.colors == reference.colors
@@ -72,7 +72,7 @@ def test_dima2ed_batched_bit_identical(family, seed):
     d = FAMILIES[family](seed).to_directed()
     ref_tel, tel = AutomatonTelemetry(), AutomatonTelemetry()
     reference = strong_color_arcs(
-        d, seed=seed, fastpath=False, compute="pernode", telemetry=ref_tel
+        d, seed=seed, compute="general", telemetry=ref_tel
     )
     batched = strong_color_arcs(d, seed=seed, telemetry=tel)
     assert batched.colors == reference.colors

@@ -114,7 +114,9 @@ class TestPernodeKillRestore:
         assert checkpoint is not None
         assert checkpoint.kind == "pernode"
 
-        resumed = resume_engine(checkpoint, graph, fastpath=fastpath).run()
+        resumed = SynchronousEngine(
+            graph, factory, fastpath=fastpath, resume=checkpoint
+        ).run()
         assert _fingerprint_pernode(resumed) == _fingerprint_pernode(base)
 
     @RELAXED
@@ -140,8 +142,8 @@ class TestPernodeKillRestore:
         ).run()
         if killed.completed:
             return
-        resumed = resume_engine(
-            store.latest(), graph, fastpath=not capture_fast
+        resumed = SynchronousEngine(
+            graph, factory, fastpath=not capture_fast, resume=store.latest()
         ).run()
         assert _fingerprint_pernode(resumed) == _fingerprint_pernode(base)
 

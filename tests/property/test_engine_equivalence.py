@@ -1,13 +1,13 @@
 """Bit-identity of the delivery cores.
 
-The fast-path ``SynchronousEngine`` and the worker-local-first
-``ParallelEngine`` are pure optimizations: for every program, topology,
-seed and worker count they must reproduce the general loop's results
+The fast-path ``SynchronousEngine`` is a pure optimization: for every
+program, topology and seed it must reproduce the general loop's results
 *exactly* — final program states, every metric counter (including the
 per-superstep live-node trace), superstep count and completion flag.
 These properties are the license for ``fastpath=True`` being the
-default; a single diverging counter here means the optimization changed
-semantics, not just speed.
+engine default (``compute="pernode"`` in the algorithm wrappers, against
+``compute="general"``); a single diverging counter here means the
+optimization changed semantics, not just speed.
 
 Graphs are drawn from the three random families the paper's experiments
 use (Erdős–Rényi, scale-free, small-world) so the tiers of the fast
@@ -16,29 +16,22 @@ unicast phases (the coloring automata alternate all four phase kinds),
 and halted-receiver discards near termination.
 """
 
-import multiprocessing as mp
 from typing import Sequence
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dima2ed import strong_color_arcs
-from repro.core.edge_coloring import EdgeColoringProgram, color_edges
+from repro.core.edge_coloring import color_edges
 from repro.graphs.generators import erdos_renyi_avg_degree, scale_free, small_world
 from repro.runtime.engine import SynchronousEngine
 from repro.runtime.message import Message
 from repro.runtime.node import Context, NodeProgram
-from repro.runtime.parallel import ParallelEngine
 
 RELAXED = settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
-)
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(), reason="fork start method unavailable"
 )
 
 
@@ -102,8 +95,8 @@ class TestFastPathBitIdentity:
     @RELAXED
     @given(g=family_graphs(), seed=st.integers(0, 2**16))
     def test_algorithm1_coloring(self, g, seed):
-        slow = color_edges(g, seed=seed, fastpath=False)
-        fast = color_edges(g, seed=seed, fastpath=True)
+        slow = color_edges(g, seed=seed, compute="general")
+        fast = color_edges(g, seed=seed, compute="pernode")
         assert fast.colors == slow.colors
         assert fast.rounds == slow.rounds
         assert fast.metrics.to_dict() == slow.metrics.to_dict()
@@ -112,38 +105,8 @@ class TestFastPathBitIdentity:
     @given(g=family_graphs(max_nodes=24), seed=st.integers(0, 2**16))
     def test_dima2ed_coloring(self, g, seed):
         dg = g.to_directed()
-        slow = strong_color_arcs(dg, seed=seed, fastpath=False)
-        fast = strong_color_arcs(dg, seed=seed, fastpath=True)
+        slow = strong_color_arcs(dg, seed=seed, compute="general")
+        fast = strong_color_arcs(dg, seed=seed, compute="pernode")
         assert fast.colors == slow.colors
         assert fast.rounds == slow.rounds
         assert fast.metrics.to_dict() == slow.metrics.to_dict()
-
-
-@needs_fork
-class TestParallelBitIdentity:
-    @RELAXED
-    @given(
-        g=family_graphs(max_nodes=24),
-        seed=st.integers(0, 2**16),
-        workers=st.integers(1, 4),
-    )
-    def test_chatter_matches_sequential(self, g, seed, workers):
-        seq = SynchronousEngine(g, Chatter, seed=seed, strict=False).run()
-        par = ParallelEngine(g, Chatter, seed=seed, workers=workers).run()
-        _identical(seq, par)
-        assert [p.trace for p in seq.programs] == [p.trace for p in par.programs]
-
-    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        g=family_graphs(max_nodes=20),
-        seed=st.integers(0, 2**16),
-        workers=st.integers(2, 3),
-    )
-    def test_algorithm1_matches_sequential(self, g, seed, workers):
-        factory = EdgeColoringProgram
-        seq = SynchronousEngine(g, factory, seed=seed).run()
-        par = ParallelEngine(g, factory, seed=seed, workers=workers).run()
-        _identical(seq, par)
-        assert [p.edge_colors for p in seq.programs] == [
-            p.edge_colors for p in par.programs
-        ]

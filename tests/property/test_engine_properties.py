@@ -1,4 +1,4 @@
-"""Property-based tests of engine semantics (sync, async, parallel).
+"""Property-based tests of engine semantics (sync, async).
 
 These pin the delivery laws with arbitrary topologies and a gossip
 program whose state fingerprints everything it ever heard — any
@@ -6,10 +6,8 @@ misdelivery, reorder, or lost/duplicated message changes the
 fingerprint.
 """
 
-import multiprocessing as mp
 from typing import Sequence
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -85,21 +83,3 @@ class TestAsyncEquivalenceProperty:
         assert [p.state for p in asy.programs] == [p.state for p in seq.programs]
         assert asy.metrics.messages_sent == seq.metrics.messages_sent
         assert asy.metrics.messages_delivered == seq.metrics.messages_delivered
-
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(), reason="fork start method unavailable"
-)
-
-
-@needs_fork
-class TestParallelEquivalenceProperty:
-    @settings(max_examples=5, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(g=graphs(max_nodes=8, min_nodes=2), seed=st.integers(0, 2**8))
-    def test_partitioned_execution_identical(self, g, seed):
-        from repro.runtime.parallel import ParallelEngine
-
-        seq = SynchronousEngine(g, Fingerprint, seed=seed).run()
-        par = ParallelEngine(g, Fingerprint, seed=seed, workers=2).run()
-        assert [p.state for p in par.programs] == [p.state for p in seq.programs]

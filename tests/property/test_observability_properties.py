@@ -7,15 +7,12 @@ experiment harnesses is that **watching a run never changes it**:
   leaves colors, rounds, and every metric *counter* bit-identical to an
   unobserved run (wall-clock ``phase_seconds`` is the one sanctioned
   addition, and only when a profiler is attached);
-* the telemetry itself is engine-independent: the fast delivery core,
-  the general loop, and the multiprocessing executor all fill identical
-  collectors for the same seed;
+* the telemetry itself is engine-independent: the fast delivery core
+  and the general loop fill identical collectors for the same seed;
 * a *sampled* tracer (the fast-path-compatible kind) records the exact
   same thinned event stream on both delivery cores — sampling is
   deterministic, so lossy-by-contract never means run-to-run lossy.
 """
-
-import multiprocessing as mp
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,17 +23,12 @@ from repro.core.edge_coloring import EdgeColoringProgram, color_edges
 from repro.graphs.generators import erdos_renyi_avg_degree, scale_free, small_world
 from repro.runtime.engine import SynchronousEngine
 from repro.runtime.observe import AutomatonTelemetry, PhaseProfiler
-from repro.runtime.parallel import ParallelEngine
 from repro.runtime.trace import EventTracer
 
 RELAXED = settings(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
-)
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in mp.get_all_start_methods(), reason="fork start method unavailable"
 )
 
 
@@ -105,8 +97,8 @@ class TestEngineIndependence:
     def test_both_cores_fill_identical_telemetry(self, g, seed):
         fast_t = AutomatonTelemetry()
         slow_t = AutomatonTelemetry()
-        fast = color_edges(g, seed=seed, telemetry=fast_t, fastpath=True)
-        slow = color_edges(g, seed=seed, telemetry=slow_t, fastpath=False)
+        fast = color_edges(g, seed=seed, telemetry=fast_t, compute="pernode")
+        slow = color_edges(g, seed=seed, telemetry=slow_t, compute="general")
         assert fast.colors == slow.colors
         assert fast_t.to_dict() == slow_t.to_dict()
 
@@ -130,23 +122,3 @@ class TestEngineIndependence:
         # ... and both cores record the exact same thinned stream.
         assert list(fast_tr) == list(slow_tr)
         assert fast_tr.sampled_out == slow_tr.sampled_out
-
-
-@needs_fork
-class TestParallelTelemetry:
-    @settings(
-        max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-    )
-    @given(
-        g=family_graphs(max_nodes=20),
-        seed=st.integers(0, 2**16),
-        workers=st.integers(2, 3),
-    )
-    def test_merged_worker_telemetry_matches_sequential(self, g, seed, workers):
-        seq_t = AutomatonTelemetry()
-        SynchronousEngine(g, EdgeColoringProgram, seed=seed, telemetry=seq_t).run()
-        par_t = AutomatonTelemetry()
-        ParallelEngine(
-            g, EdgeColoringProgram, seed=seed, workers=workers, telemetry=par_t
-        ).run()
-        assert par_t.to_dict() == seq_t.to_dict()

@@ -5,7 +5,7 @@ algorithms — fixed-width uint64 palette planes, whole-population numpy
 rounds, and a replayed RNG (:mod:`repro.core.vecrng`) instead of
 per-node ``random.Random`` objects.  Nothing in them shares state with
 the per-node programs, so the reference is the general per-node loop
-(``fastpath=False, compute="pernode"``): for every family, seed and
+(``compute="general"``): for every family, seed and
 strategy combination, colorings, round/superstep counts and the full
 metrics dict must match it exactly.
 
@@ -55,7 +55,7 @@ def _assert_same(got, want):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_alg1_vectorized_bit_identical(family, seed):
     g = FAMILIES[family](seed)
-    reference = color_edges(g, seed=seed, fastpath=False, compute="pernode")
+    reference = color_edges(g, seed=seed, compute="general")
     vectorized = color_edges(g, seed=seed, compute="vectorized")
     _assert_same(vectorized, reference)
     assert vectorized.palette == reference.palette
@@ -65,7 +65,7 @@ def test_alg1_vectorized_bit_identical(family, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dima2ed_vectorized_bit_identical(family, seed):
     d = FAMILIES[family](seed).to_directed()
-    reference = strong_color_arcs(d, seed=seed, fastpath=False, compute="pernode")
+    reference = strong_color_arcs(d, seed=seed, compute="general")
     vectorized = strong_color_arcs(d, seed=seed, compute="vectorized")
     _assert_same(vectorized, reference)
 
@@ -77,9 +77,7 @@ def test_alg1_strategy_combinations(color_strategy, responder_strategy):
     params = EdgeColoringParams(
         color_strategy=color_strategy, responder_strategy=responder_strategy
     )
-    reference = color_edges(
-        g, seed=7, params=params, fastpath=False, compute="pernode"
-    )
+    reference = color_edges(g, seed=7, params=params, compute="general")
     vectorized = color_edges(g, seed=7, params=params, compute="vectorized")
     _assert_same(vectorized, reference)
 
@@ -88,9 +86,7 @@ def test_alg1_strategy_combinations(color_strategy, responder_strategy):
 def test_dima2ed_channel_strategies(channel_strategy):
     d = FAMILIES["er"](5).to_directed()
     params = StrongColoringParams(channel_strategy=channel_strategy)
-    reference = strong_color_arcs(
-        d, seed=5, params=params, fastpath=False, compute="pernode"
-    )
+    reference = strong_color_arcs(d, seed=5, params=params, compute="general")
     vectorized = strong_color_arcs(d, seed=5, params=params, compute="vectorized")
     _assert_same(vectorized, reference)
 

@@ -8,6 +8,7 @@ may use a kernel, that ineligible ones fall back to the per-node loop
 kernel telemetry stream is byte-for-byte the per-node one.
 """
 
+import inspect
 import json
 
 import pytest
@@ -20,12 +21,11 @@ from repro.core.edge_coloring import EdgeColoringParams, color_edges
 from repro.errors import ConfigurationError
 from repro.graphs.generators import erdos_renyi_avg_degree
 from repro.runtime.faults import DropRandomMessages
-from repro.runtime.observe import AutomatonTelemetry
+from repro.runtime.observe import AutomatonTelemetry, PhaseProfiler
 from repro.runtime.trace import EventTracer
 
 ELIGIBLE = dict(
     compute="auto",
-    fastpath=True,
     strict=True,
     faults=None,
     transport=None,
@@ -41,6 +41,7 @@ class TestBatchedEligible:
 
     def test_compute_pernode_disables(self):
         assert not batched_eligible(**{**ELIGIBLE, "compute": "pernode"})
+        assert not batched_eligible(**{**ELIGIBLE, "compute": "general"})
 
     def test_compute_batched_same_gates(self):
         # Pinning a kernel changes which one runs, never the gates.
@@ -53,7 +54,7 @@ class TestBatchedEligible:
     @pytest.mark.parametrize(
         "override",
         [
-            {"fastpath": False},
+            {"compute": "general"},
             {"strict": False},
             {"faults": object()},
             {"transport": object()},
@@ -68,6 +69,23 @@ class TestBatchedEligible:
     def test_unknown_compute_mode_raises(self):
         with pytest.raises(ConfigurationError):
             batched_eligible(**{**ELIGIBLE, "compute": "nope"})
+
+    def test_compute_is_the_only_core_selector(self):
+        # The engine keeps ``fastpath=`` as its own switch; no wrapper,
+        # gate or resilience entry point takes it.
+        from repro.resilience import resume_engine, supervise_edge_coloring
+
+        assert "general" in COMPUTE_MODES
+        for entry in (
+            color_edges,
+            strong_color_arcs,
+            batched_eligible,
+            supervise_edge_coloring,
+            resume_engine,
+        ):
+            params = inspect.signature(entry).parameters
+            assert "fastpath" not in params, entry.__name__
+            assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
 
     def test_retired_batched_mode_raises(self):
         # Not an alias for any kernel: it fails like any unknown mode.
@@ -131,9 +149,30 @@ class TestSilentFallback:
         assert res.colors
 
     def test_fastpath_false_falls_back(self, forbid_kernels):
+        # ``compute="general"`` is how the wrappers turn the engine's
+        # fast path off; they take no ``fastpath=`` keyword.
         g = erdos_renyi_avg_degree(20, 3.0, seed=0)
-        res = color_edges(g, seed=0, fastpath=False)
+        res = color_edges(g, seed=0, compute="general")
         assert res.colors
+        for entry in (color_edges, strong_color_arcs):
+            with pytest.raises(TypeError, match="fastpath"):
+                entry(g, seed=0, fastpath=False)
+
+    def test_general_mode_runs_the_general_loop(self, forbid_kernels):
+        # A kernel-eligible graph and configuration: only the mode keeps
+        # the kernels out, and only the general loop meters the model
+        # check as its own phase.
+        g = erdos_renyi_avg_degree(20, 3.0, seed=0)
+        assert batched_eligible(**ELIGIBLE)
+        for entry, graph in (
+            (color_edges, g),
+            (strong_color_arcs, g.to_directed()),
+        ):
+            general = entry(graph, seed=0, compute="general", profiler=PhaseProfiler())
+            assert {"delivery", "model_check"} <= set(general.metrics.phase_seconds)
+            fast = entry(graph, seed=0, compute="pernode", profiler=PhaseProfiler())
+            assert "model_check" not in fast.metrics.phase_seconds
+            assert fast.colors == general.colors
 
     def test_compute_pernode_falls_back(self, forbid_kernels):
         g = erdos_renyi_avg_degree(20, 3.0, seed=0)

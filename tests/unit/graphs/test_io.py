@@ -83,6 +83,60 @@ class TestParsing:
         assert g.num_nodes == 4
 
 
+class TestMalformedInputNamesThePath:
+    """Every malformed input is a GraphError that names the file."""
+
+    def _rejects(self, path, **kwargs):
+        with pytest.raises(GraphError, match=path.name):
+            read_edge_list(path, **kwargs)
+
+    @pytest.mark.parametrize("value", ["four", "-3", "4.0", ""])
+    def test_non_integer_nodes_header(self, tmp_path, value):
+        path = tmp_path / "hdr.edges"
+        path.write_text(f"# nodes: {value}\n0 1\n")
+        self._rejects(path)
+
+    def test_corrupt_gzip(self, tmp_path):
+        path = tmp_path / "g.edges.gz"
+        path.write_bytes(b"this is not gzip data\n")
+        self._rejects(path)
+
+    def test_truncated_gzip(self, tmp_path):
+        path = tmp_path / "g.edges.gz"
+        write_edge_list(erdos_renyi_gnp(25, 0.2, seed=9), path)
+        path.write_bytes(path.read_bytes()[:-12])
+        self._rejects(path)
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"0 1\n1 \xff2\n")
+        self._rejects(path)
+        self._rejects(path, relabel=True)
+
+    def test_negative_id_in_native_format(self, tmp_path):
+        path = tmp_path / "neg.edges"
+        path.write_text("# nodes: 4\n-1 3\n")
+        with pytest.raises(GraphError, match="negative vertex id -1"):
+            read_edge_list(path)
+
+    def test_negative_foreign_id_relabels(self, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("-1 3\n")
+        g, mapping = read_edge_list(path, relabel=True)
+        assert mapping == {-1: 0, 3: 1}
+        assert g.edge_list() == [(0, 1)]
+
+    def test_self_loop_in_native_format(self, tmp_path):
+        path = tmp_path / "loop.edges"
+        path.write_text("2 2\n")
+        self._rejects(path)
+
+    def test_non_integer_mtx_size_line(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate pattern general\nn n 1\n1 2\n")
+        self._rejects(path, relabel=True)
+
+
 class TestGzipAndForeignFormats:
     def test_gzip_round_trip(self, tmp_path):
         g = erdos_renyi_gnp(25, 0.2, seed=9)

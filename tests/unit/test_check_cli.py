@@ -84,6 +84,29 @@ class TestCheckCommand:
     def test_umbrella_dispatch(self, graph_file):
         assert repro_main(["check", str(graph_file), "--algorithm", "alg1"]) == 0
 
+    def test_malformed_graph_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.edges"
+        bad.write_text("0 1\n1 two\n")
+        assert check_main([str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("repro check: ") and "bad.edges:2" in err
+
+    @pytest.mark.parametrize("retired", ["batched", "parallel"])
+    def test_replay_naming_a_missing_tier_exits_two(self, tmp_path, capsys, retired):
+        ce = Counterexample(
+            algorithm="alg1",
+            seed=5,
+            tiers=["general", retired],
+            edges=[(0, 1), (1, 2), (2, 0)],
+        )
+        path = ce.save(tmp_path / "ce.json")
+        assert check_main(["--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"'{retired}'" in captured.err
+
 
 class TestFuzzCommand:
     def test_small_clean_campaign(self, tmp_path, capsys):

@@ -61,7 +61,7 @@ class TestFieldDiffing:
 
     def test_metric_mismatch_named(self):
         metrics = dict(make_run().metrics, messages_sent=41)
-        divs = _diff_runs(make_run(), make_run(tier="parallel", metrics=metrics))
+        divs = _diff_runs(make_run(), make_run(tier="vectorized", metrics=metrics))
         assert [d.field for d in divs] == ["metrics.messages_sent"]
 
     def test_async_ignores_engine_superstep_counter(self):

@@ -267,7 +267,6 @@ class TestEngineIntegration:
 
         kwargs = dict(
             compute="auto",
-            fastpath=True,
             strict=True,
             faults=None,
             transport=None,
