@@ -14,11 +14,7 @@ from repro.core.edge_coloring import EdgeColoringParams, color_edges
 from repro.errors import ConvergenceError
 from repro.graphs.generators import erdos_renyi_avg_degree
 from repro.runtime.faults import CrashNodes, DropRandomMessages
-from repro.verify import (
-    assert_partial_edge_coloring,
-    check_edge_coloring_complete,
-    check_proper_edge_coloring,
-)
+from repro.verify import assert_partial_edge_coloring, check_proper_edge_coloring
 
 GRAPH = erdos_renyi_avg_degree(100, 8.0, seed=3001)
 SEED = 3001
@@ -129,8 +125,7 @@ def test_series_fault_sweep(report_dir):
                 except ConvergenceError:
                     outcome = "stuck"
                     continue
-                bad = check_proper_edge_coloring(GRAPH, result.colors)
-                bad += check_edge_coloring_complete(GRAPH, result.colors)
+                bad = check_proper_edge_coloring(GRAPH, result.colors, complete=True)
                 if bad:
                     outcome = "dirty"
                     continue

@@ -27,7 +27,7 @@ from repro.errors import ConvergenceError
 from repro.experiments.tables import render_table
 from repro.graphs.generators import erdos_renyi_avg_degree
 from repro.runtime.faults import DropRandomMessages
-from repro.verify import check_edge_coloring_complete, check_proper_edge_coloring
+from repro.verify import check_proper_edge_coloring
 
 __all__ = [
     "NAME",
@@ -192,8 +192,7 @@ def fault_injection_study(
                 except ConvergenceError:
                     failures += 1
                     continue
-                bad = check_proper_edge_coloring(g, result.colors)
-                bad += check_edge_coloring_complete(g, result.colors)
+                bad = check_proper_edge_coloring(g, result.colors, complete=True)
                 if bad:
                     failures += 1
                     continue

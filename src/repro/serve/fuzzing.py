@@ -35,10 +35,7 @@ from repro.graphs.generators import (
     small_world,
 )
 from repro.serve.session import ColoringSession, Mutation
-from repro.verify.edge_coloring import (
-    check_edge_coloring_complete,
-    check_proper_edge_coloring,
-)
+from repro.verify.edge_coloring import check_proper_edge_coloring
 from repro.verify.strong_coloring import check_strong_arc_coloring
 
 __all__ = ["SERVE_FAMILIES", "ServeFuzzResult", "fuzz_serve"]
@@ -160,9 +157,7 @@ def _scratch_violations(session: ColoringSession, seed: int) -> List[str]:
         result = strong_color_arcs(digraph, seed=seed)
         return check_strong_arc_coloring(digraph, result.colors, complete=True)
     result = color_edges(graph, seed=seed)
-    return check_proper_edge_coloring(
-        graph, result.colors
-    ) + check_edge_coloring_complete(graph, result.colors)
+    return check_proper_edge_coloring(graph, result.colors, complete=True)
 
 
 def _session_violations(session: ColoringSession) -> List[str]:
@@ -170,9 +165,7 @@ def _session_violations(session: ColoringSession) -> List[str]:
         return check_strong_arc_coloring(
             session.graph.to_directed(), session.colors, complete=True
         )
-    return check_proper_edge_coloring(
-        session.graph, session.colors
-    ) + check_edge_coloring_complete(session.graph, session.colors)
+    return check_proper_edge_coloring(session.graph, session.colors, complete=True)
 
 
 def fuzz_serve(

@@ -25,7 +25,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.dima2ed import strong_color_arcs
 from repro.core.edge_coloring import color_edges
@@ -37,7 +37,9 @@ from repro.serve.incremental import (
     incremental_edge_colors,
 )
 from repro.types import Color, Edge, canonical_edge
-from repro.verify.edge_coloring import (
+# check_edge_coloring_complete is unused here, but perfbench's traced
+# serve-edit replay patches it on this module by name.
+from repro.verify.edge_coloring import (  # noqa: F401
     check_edge_coloring_complete,
     check_proper_edge_coloring,
 )
@@ -372,18 +374,16 @@ class ColoringSession:
             return check_strong_arc_coloring(
                 self.graph.to_directed(), self.colors, complete=True
             )
-        return check_proper_edge_coloring(
-            self.graph, self.colors
-        ) + check_edge_coloring_complete(self.graph, self.colors)
+        return check_proper_edge_coloring(self.graph, self.colors, complete=True)
 
-    def _check_or_raise(self) -> None:
+    def _check_or_raise(self, when: str = "after a full rerun") -> None:
         if not self.verify:
             return
         violations = self._violations()
-        if violations:  # pragma: no cover - full runs verify upstream
+        if violations:
             raise VerificationError(
-                f"session {self.name!r} coloring is invalid after a full "
-                f"rerun: {violations[:3]}"
+                f"session {self.name!r} coloring is invalid {when}: "
+                f"{violations[:3]}"
             )
 
     # -- persistence -----------------------------------------------------
@@ -421,18 +421,37 @@ class ColoringSession:
         )
         for u in state.get("nodes", ()):
             session.graph.add_node(u)
-        for u, v in state.get("edges", ()):
-            session.graph.add_edge(u, v)
+        for row in state.get("edges", ()):
+            session.graph.add_edge(*_int_row(session.name, "edges", row, 2))
         arcs = session.algorithm == "dima2ed"
-        for u, v, c in state.get("colors", ()):
+        for row in state.get("colors", ()):
+            u, v, c = _int_row(session.name, "colors", row, 3)
             session.colors[(u, v) if arcs else canonical_edge(u, v)] = c
         session.batches = state.get("batches", 0)
         stats = _zero_stats()
         stats.update(state.get("stats", {}))
         session.stats = stats
         # A tampered or stale state file must not serve improper colors.
-        session._check_or_raise()
+        session._check_or_raise("on load")
         return session
+
+
+def _int_row(name: str, field: str, row: object, width: int) -> Sequence[int]:
+    """``row`` from a state file's ``field`` list when it holds exactly
+    ``width`` integers within int64, else :class:`ServeError`."""
+    if (
+        isinstance(row, (list, tuple))
+        and len(row) == width
+        and all(
+            isinstance(x, int) and not isinstance(x, bool) and -(2**63) <= x < 2**63
+            for x in row
+        )
+    ):
+        return row
+    raise ServeError(
+        f"session {name!r} state has a malformed {field} row {row!r}: "
+        f"expected {width} integers within int64"
+    )
 
 
 class SessionManager:

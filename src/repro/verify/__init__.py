@@ -19,7 +19,6 @@ from repro.verify.differential import (
 )
 from repro.verify.edge_coloring import (
     assert_proper_edge_coloring,
-    check_edge_coloring_complete,
     check_proper_edge_coloring,
 )
 from repro.verify.fuzz import (
@@ -60,7 +59,6 @@ __all__ = [
     "check_proper_vertex_coloring",
     "assert_proper_vertex_coloring",
     "check_proper_edge_coloring",
-    "check_edge_coloring_complete",
     "assert_proper_edge_coloring",
     "check_strong_arc_coloring",
     "assert_strong_arc_coloring",

@@ -68,18 +68,12 @@ def check_partial_edge_coloring(
     every edge between two survivors must be colored; edges incident to
     a crashed node are never required.
     """
-    from repro.verify.edge_coloring import (
-        check_edge_coloring_complete,
-        check_proper_edge_coloring,
-    )
+    from repro.verify.edge_coloring import check_proper_edge_coloring
 
     dead = set(crashed)
     alive = surviving_subgraph(graph, dead)
     surviving, _ = _split_edges(colors, dead)
-    violations = check_proper_edge_coloring(alive, surviving)
-    if complete:
-        violations += check_edge_coloring_complete(alive, surviving)
-    return violations
+    return check_proper_edge_coloring(alive, surviving, complete=complete)
 
 
 def assert_partial_edge_coloring(

@@ -26,7 +26,6 @@ from repro.runtime.faults import CrashNodes, DropLinks, DropRandomMessages
 from repro.verify import (
     assert_partial_edge_coloring,
     assert_partial_strong_coloring,
-    check_edge_coloring_complete,
     check_proper_edge_coloring,
     check_strong_arc_coloring,
 )
@@ -118,8 +117,7 @@ class TestSeveredLinks:
             except ConvergenceError:
                 outcomes.add("stuck")
                 continue
-            bad = check_proper_edge_coloring(g, result.colors)
-            bad += check_edge_coloring_complete(g, result.colors)
+            bad = check_proper_edge_coloring(g, result.colors, complete=True)
             outcomes.add("dirty" if bad else "clean")
         # The protocol must never crash; it may be clean, stuck, or dirty.
         assert outcomes <= {"clean", "stuck", "dirty"}
@@ -145,7 +143,7 @@ class TestHardenedLossyRuns:
             transport=True,
         )
         assert check_proper_edge_coloring(graph, result.colors) == []
-        assert check_edge_coloring_complete(graph, result.colors) == []
+        assert check_proper_edge_coloring(graph, result.colors, complete=True) == []
         assert result.metrics.retransmissions > 0
 
     @pytest.mark.parametrize("rate", [0.02, 0.05])
@@ -172,7 +170,7 @@ class TestHardenedLossyRuns:
             faults=DropRandomMessages(0.03, seed=23),
         )
         assert check_proper_edge_coloring(g, result.colors) == []
-        assert check_edge_coloring_complete(g, result.colors) == []
+        assert check_proper_edge_coloring(g, result.colors, complete=True) == []
 
     def test_dima2ed_recovery_alone_terminates_consistent(self):
         # DiMa2Ed recovery without transport: termination and endpoint

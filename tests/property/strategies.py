@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.graphs.adjacency import Graph
+from repro.graphs.adjacency import DiGraph, Graph
 
 
 @st.composite
@@ -38,3 +38,28 @@ def nonempty_graphs(draw, max_nodes: int = 12) -> Graph:
 def symmetric_digraphs(draw, max_nodes: int = 8):
     """A symmetric digraph (closure of a random undirected graph)."""
     return draw(graphs(max_nodes=max_nodes)).to_directed()
+
+
+@st.composite
+def labeled_graphs(draw, max_nodes: int = 8, min_nodes: int = 0) -> Graph:
+    """A graph over arbitrary distinct ids: negative, non-contiguous and
+    unordered in insertion, with isolated nodes left in."""
+    ids = draw(st.lists(st.integers(-40, 40), unique=True, min_size=min_nodes, max_size=max_nodes))
+    g = Graph()
+    g.add_nodes_from(ids)
+    if len(ids) >= 2:
+        all_pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
+        g.add_edges_from(draw(st.lists(st.sampled_from(all_pairs), unique=True)))
+    return g
+
+
+@st.composite
+def digraphs(draw, max_nodes: int = 7, min_nodes: int = 0) -> DiGraph:
+    """A digraph, symmetric or not, over arbitrary distinct ids."""
+    ids = draw(st.lists(st.integers(-40, 40), unique=True, min_size=min_nodes, max_size=max_nodes))
+    d = DiGraph()
+    d.add_nodes_from(ids)
+    if len(ids) >= 2:
+        all_arcs = [(u, v) for u in ids for v in ids if u != v]
+        d.add_arcs_from(draw(st.lists(st.sampled_from(all_arcs), unique=True)))
+    return d

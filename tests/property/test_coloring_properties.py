@@ -8,7 +8,6 @@ from repro.core.edge_coloring import color_edges
 from repro.core.dima2ed import strong_color_arcs
 from repro.graphs.properties import max_degree
 from repro.verify import (
-    check_edge_coloring_complete,
     check_proper_edge_coloring,
     check_strong_arc_coloring,
 )
@@ -28,7 +27,7 @@ class TestAlgorithm1Properties:
     def test_always_proper_and_complete(self, g, seed):
         result = color_edges(g, seed=seed)
         assert check_proper_edge_coloring(g, result.colors) == []
-        assert check_edge_coloring_complete(g, result.colors) == []
+        assert check_proper_edge_coloring(g, result.colors, complete=True) == []
 
     @RELAXED
     @given(g=graphs(max_nodes=12), seed=st.integers(0, 2**16))
@@ -78,7 +77,7 @@ class TestBaselineProperties:
     def test_misra_gries_vizing_bound(self, g):
         colors = misra_gries_edge_coloring(g)
         assert check_proper_edge_coloring(g, colors) == []
-        assert check_edge_coloring_complete(g, colors) == []
+        assert check_proper_edge_coloring(g, colors, complete=True) == []
         delta = max_degree(g)
         assert len(set(colors.values())) <= delta + 1
 

@@ -29,7 +29,6 @@ from repro.core.edge_coloring import color_edges
 from repro.core.dima2ed import strong_color_arcs
 from repro.serve.session import ColoringSession, Mutation
 from repro.verify import (
-    check_edge_coloring_complete,
     check_proper_edge_coloring,
     check_strong_arc_coloring,
 )
@@ -56,7 +55,7 @@ def _assert_session_valid(s):
         ) == []
     else:
         assert check_proper_edge_coloring(s.graph, s.colors) == []
-        assert check_edge_coloring_complete(s.graph, s.colors) == []
+        assert check_proper_edge_coloring(s.graph, s.colors, complete=True) == []
 
 
 def _mutation_sequence(rng, graph, steps):
@@ -146,7 +145,7 @@ class TestIncrementalCoreProperties:
             return  # legal outcome; session would rerun from scratch
         colors.update(out.colors)
         assert check_proper_edge_coloring(g, colors) == []
-        assert check_edge_coloring_complete(g, colors) == []
+        assert check_proper_edge_coloring(g, colors, complete=True) == []
 
     @RELAXED
     @given(

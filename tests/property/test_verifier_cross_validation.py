@@ -1,18 +1,24 @@
-"""Cross-validation of the coloring *verifiers* against networkx.
+"""Cross-validation of the coloring *verifiers* against two oracles.
 
 The verifiers are the project's independent second implementation of
-the problem definitions; this module adds a third, built on networkx
-primitives, and requires all pairwise agreement:
+the problem definitions.  Two more stand beside them here, and all must
+agree:
 
-* proper edge coloring ⟺ proper vertex coloring of ``nx.line_graph`` —
-  the textbook equivalence, computed by networkx's own line-graph
-  construction rather than our endpoint grouping;
-* the strong arc-coloring conflict model, re-implemented as a brute
-  force over **all arc pairs** with networkx adjacency — independent of
-  our checker's one-hop candidate enumeration.
+* the set-walk checkers of :mod:`.set_walk_oracles` — the verifiers'
+  own earlier implementation, which walks Python sets around every
+  colored edge instead of sorting and probing arrays;
+* networkx: proper edge coloring ⟺ proper vertex coloring of
+  ``nx.line_graph`` (the textbook equivalence, computed by networkx's
+  own line-graph construction), each color class a matching (networkx
+  multigraph degrees give the violation count), and the strong
+  arc-coloring conflict model re-implemented as a brute force over
+  **all arc pairs** with networkx adjacency.
 
 Random colorings (valid and invalid alike) are drawn per graph, so the
 oracles are compared on both verdicts, not just on algorithm outputs.
+The three-way suites also draw partial colorings, arbitrary node ids,
+isolated nodes and non-symmetric digraphs, inject faults, and require
+equal violation counts as well as equal verdicts.
 """
 
 import random
@@ -29,7 +35,8 @@ from repro.verify import (
     check_strong_arc_coloring,
 )
 
-from .strategies import graphs, nonempty_graphs
+from . import set_walk_oracles as set_walk
+from .strategies import digraphs, graphs, labeled_graphs, nonempty_graphs
 
 RELAXED = settings(
     max_examples=60,
@@ -138,3 +145,200 @@ class TestStrongColoringVerifierAgrees:
         colors[(v, u)] = colors[(u, v)]
         assert check_strong_arc_coloring(digraph, colors, complete=False)
         assert not nx_strong_arc_coloring(digraph, colors)
+
+
+# -- three-way agreement: arrays, set walks and networkx ---------------------
+
+THREE_WAY = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: Colors a fault may write: a negative int, floats (one equal to an
+#: int color), a bool, and valid colors that may collide.
+FAULT_COLORS = [-1, 1.5, 1.0, True, 0, 1, 2]
+
+EDGE_FAULTS = [
+    "shared_endpoint", "missing_edge", "absent_edge", "non_canonical",
+    "negative_color", "odd_color",
+]
+ARC_FAULTS = [
+    "shared_endpoint", "reverse_arc", "rule2", "rule3", "missing_arc",
+    "absent_arc", "negative_color", "odd_color",
+]
+
+
+def _valid_color(c) -> bool:
+    return isinstance(c, int) and not isinstance(c, bool) and c >= 0
+
+
+def nx_proper_violation_count(graph, colors, complete) -> int:
+    """Violations as networkx counts them: per-key faults, then the
+    excess degree of every color class (a matching has none), then
+    uncolored edges."""
+    g = to_networkx(graph)
+    count = 0
+    classes = {}
+    for (u, v), c in colors.items():
+        if u > v:
+            count += 1  # non-canonical key: nothing else checked for it
+        else:
+            count += not g.has_edge(u, v)
+            count += not _valid_color(c)
+        classes.setdefault(c, nx.MultiGraph()).add_edge(u, v)
+    count += sum(max(d - 1, 0) for h in classes.values() for _, d in h.degree())
+    if complete:
+        count += sum(1 for u, v in g.edges() if (min(u, v), max(u, v)) not in colors)
+    return count
+
+
+def nx_strong_violation_count(digraph, colors, complete) -> int:
+    """Violations as networkx counts them: per-key faults, uncolored
+    arcs, then every conflicting pair of colored arcs by brute force."""
+    d = to_networkx(digraph)
+    underlying = d.to_undirected()
+    count = 0
+    present = []
+    for arc, c in colors.items():
+        if d.has_edge(*arc):
+            present.append((arc, c))
+        else:
+            count += 1
+        count += not _valid_color(c)
+    if complete:
+        count += sum(1 for arc in d.edges() if arc not in colors)
+    for i, ((u, v), ca) in enumerate(present):
+        for (w, x), cb in present[i + 1 :]:
+            if ca == cb and (
+                {u, v} & {w, x} or underlying.has_edge(w, v) or underlying.has_edge(u, x)
+            ):
+                count += 1
+    return count
+
+
+def _inject_edge_fault(draw, graph, colors, fault) -> None:
+    edges = sorted(graph.edges())
+    keys = sorted(colors)
+    if fault == "shared_endpoint" and keys:
+        a = draw(st.sampled_from(keys))
+        adjacent = [e for e in edges if e != a and set(e) & set(a)]
+        if adjacent:
+            colors[draw(st.sampled_from(adjacent))] = colors[a]
+    elif fault == "missing_edge" and keys:
+        del colors[draw(st.sampled_from(keys))]
+    elif fault == "absent_edge":
+        nodes = sorted(graph.nodes()) + [98, 99]  # never node ids
+        u, v = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+        if not graph.has_edge(u, v):
+            colors[(min(u, v), max(u, v))] = draw(st.sampled_from(FAULT_COLORS))
+    elif fault == "non_canonical" and edges:
+        u, v = draw(st.sampled_from(edges))
+        colors[(v, u)] = draw(st.sampled_from(FAULT_COLORS))
+    elif fault == "negative_color" and keys:
+        colors[draw(st.sampled_from(keys))] = -1
+    elif fault == "odd_color" and keys:
+        colors[draw(st.sampled_from(keys))] = draw(st.sampled_from(FAULT_COLORS))
+
+
+def _partners(digraph, a, fault):
+    """Arcs that conflict with ``a`` the way ``fault`` names; for the
+    distance-2 rules, only pairs that share no endpoint."""
+    u, v = a
+
+    def near(z):
+        return digraph.successors(z) | digraph.predecessors(z)
+
+    arcs = sorted(digraph.arcs())
+    if fault == "shared_endpoint":
+        return [b for b in arcs if b != a and set(b) & {u, v}]
+    if fault == "reverse_arc":
+        return [b for b in arcs if b == (v, u)]
+    apart = [b for b in arcs if not set(b) & {u, v}]
+    if fault == "rule2":  # b's tail next to a's head
+        return [b for b in apart if b[0] in near(v)]
+    return [b for b in apart if b[1] in near(u)]  # rule3: b's head next to a's tail
+
+
+def _inject_arc_fault(draw, digraph, colors, fault) -> None:
+    keys = [k for k in sorted(colors) if digraph.has_arc(*k)]
+    if fault in ("shared_endpoint", "reverse_arc", "rule2", "rule3") and keys:
+        a = draw(st.sampled_from(keys))
+        partners = _partners(digraph, a, fault)
+        if partners:
+            colors[draw(st.sampled_from(partners))] = colors[a]
+    elif fault == "missing_arc" and keys:
+        del colors[draw(st.sampled_from(keys))]
+    elif fault == "absent_arc":
+        nodes = sorted(digraph.nodes()) + [98, 99]
+        u, v = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+        if not digraph.has_arc(u, v):
+            colors[(u, v)] = draw(st.sampled_from(FAULT_COLORS))
+    elif fault == "negative_color" and keys:
+        colors[draw(st.sampled_from(keys))] = -1
+    elif fault == "odd_color" and keys:
+        colors[draw(st.sampled_from(keys))] = draw(st.sampled_from(FAULT_COLORS))
+
+
+@st.composite
+def edge_colorings(draw):
+    """A graph, a partial coloring with injected faults, and ``complete``."""
+    graph = draw(labeled_graphs(max_nodes=8, min_nodes=2))
+    if not graph.num_edges:
+        graph.add_edge(*graph.nodes()[:2])
+    edges = sorted(graph.edges())
+    colored = draw(st.lists(st.sampled_from(edges), unique=True))
+    colors = {e: draw(st.integers(0, 3)) for e in colored}
+    for fault in draw(st.lists(st.sampled_from(EDGE_FAULTS), max_size=3)):
+        _inject_edge_fault(draw, graph, colors, fault)
+    return graph, colors, draw(st.booleans())
+
+
+@st.composite
+def arc_colorings(draw):
+    """A digraph, a partial channel map with injected faults, and ``complete``."""
+    digraph = draw(digraphs(max_nodes=7, min_nodes=2))
+    if not digraph.num_arcs:
+        digraph.add_arc(*digraph.nodes()[:2])
+    arcs = sorted(digraph.arcs())
+    colored = draw(st.lists(st.sampled_from(arcs), unique=True))
+    colors = {a: draw(st.integers(0, 5)) for a in colored}
+    for fault in draw(st.lists(st.sampled_from(ARC_FAULTS), max_size=3)):
+        _inject_arc_fault(draw, digraph, colors, fault)
+    return digraph, colors, draw(st.booleans())
+
+
+class TestThreeWayEdgeColoring:
+    @THREE_WAY
+    @given(edge_colorings())
+    def test_arrays_set_walk_and_networkx_agree(self, case):
+        graph, colors, complete = case
+        ours = check_proper_edge_coloring(graph, colors, complete=complete)
+        assert ours == set_walk.check_proper_edge_coloring(graph, colors, complete=complete)
+        assert len(ours) == nx_proper_violation_count(graph, colors, complete)
+
+    @RELAXED
+    @given(labeled_graphs(max_nodes=9), st.integers(min_value=0, max_value=2**31))
+    def test_algorithm_output_on_arbitrary_ids(self, graph, seed):
+        colors = color_edges(graph, seed=seed).colors
+        assert check_proper_edge_coloring(graph, colors, complete=True) == []
+        assert nx_proper_violation_count(graph, colors, True) == 0
+
+
+class TestThreeWayStrongColoring:
+    @THREE_WAY
+    @given(arc_colorings())
+    def test_arrays_set_walk_and_networkx_agree(self, case):
+        digraph, colors, complete = case
+        ours = check_strong_arc_coloring(digraph, colors, complete=complete)
+        walk = set_walk.check_strong_arc_coloring(digraph, colors, complete=complete)
+        assert sorted(ours) == sorted(walk)
+        assert len(ours) == nx_strong_violation_count(digraph, colors, complete)
+
+    @RELAXED
+    @given(labeled_graphs(max_nodes=7), st.integers(min_value=0, max_value=2**31))
+    def test_algorithm_output_on_arbitrary_ids(self, graph, seed):
+        digraph = graph.to_directed()
+        colors = strong_color_arcs(digraph, seed=seed).colors
+        assert check_strong_arc_coloring(digraph, colors) == []
+        assert nx_strong_violation_count(digraph, colors, True) == 0

@@ -13,7 +13,6 @@ from repro.serve.incremental import (
 )
 from repro.types import canonical_edge
 from repro.verify.edge_coloring import (
-    check_edge_coloring_complete,
     check_proper_edge_coloring,
 )
 from repro.verify.strong_coloring import check_strong_arc_coloring
@@ -43,7 +42,7 @@ class TestIncrementalEdgeColors:
         assert set(out.colors) == {canonical_edge(u, v)}
         colors.update(out.colors)
         assert check_proper_edge_coloring(g, colors) == []
-        assert check_edge_coloring_complete(g, colors) == []
+        assert check_proper_edge_coloring(g, colors, complete=True) == []
         assert out.subgraph_nodes == 2
         assert out.subgraph_edges == 1
         assert out.rounds >= 1
@@ -59,7 +58,7 @@ class TestIncrementalEdgeColors:
         assert len(out.colors) == len(new)
         colors.update(out.colors)
         assert check_proper_edge_coloring(g, colors) == []
-        assert check_edge_coloring_complete(g, colors) == []
+        assert check_proper_edge_coloring(g, colors, complete=True) == []
 
     def test_avoids_colors_of_incident_old_edges(self):
         # Star center: every palette color is taken, the new spoke must

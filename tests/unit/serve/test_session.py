@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.errors import ServeError
+from repro.errors import ServeError, VerificationError
 from repro.graphs.generators import erdos_renyi_avg_degree
 from repro.serve.session import (
     ColoringSession,
@@ -12,10 +12,7 @@ from repro.serve.session import (
     SessionManager,
 )
 from repro.types import canonical_edge
-from repro.verify.edge_coloring import (
-    check_edge_coloring_complete,
-    check_proper_edge_coloring,
-)
+from repro.verify.edge_coloring import check_proper_edge_coloring
 from repro.verify.strong_coloring import check_strong_arc_coloring
 
 
@@ -33,7 +30,7 @@ def _assert_valid(s):
         ) == []
     else:
         assert check_proper_edge_coloring(s.graph, s.colors) == []
-        assert check_edge_coloring_complete(s.graph, s.colors) == []
+        assert check_proper_edge_coloring(s.graph, s.colors, complete=True) == []
 
 
 class TestMutationValidation:
@@ -237,6 +234,44 @@ class TestPersistence:
             ]
             with pytest.raises(Exception):
                 ColoringSession.from_state(state)
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "dima2ed"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [[0], 1, 0],
+            [0, 1.0, 0],
+            [0, 1, 0.5],
+            [True, 1, 0],
+            [0, 1, True],
+            ["0", 1, 0],
+            [0, 1, "0"],
+            [2**70, 1, 0],
+            [0, 1, 2**70],
+            [0, 1],
+            [0, 1, 0, 0],
+            "0 1 0",
+            None,
+        ],
+    )
+    def test_malformed_colors_row_is_a_serve_error(self, algorithm, row):
+        state = json.loads(json.dumps(_session(algorithm=algorithm).to_state()))
+        state["colors"][0] = row
+        with pytest.raises(ServeError, match="malformed colors row"):
+            ColoringSession.from_state(state)
+
+    @pytest.mark.parametrize("row", [[[0], 1], [0, 1.5], [0, None], [0, 2**70], [0]])
+    def test_malformed_edges_row_is_a_serve_error(self, row):
+        state = json.loads(json.dumps(_session().to_state()))
+        state["edges"][0] = row
+        with pytest.raises(ServeError, match="malformed edges row"):
+            ColoringSession.from_state(state)
+
+    def test_invalid_coloring_on_load_says_so(self):
+        state = json.loads(json.dumps(_session().to_state()))
+        state["colors"][0][2] = -1
+        with pytest.raises(VerificationError, match="invalid on load"):
+            ColoringSession.from_state(state)
 
     def test_newer_format_refused(self):
         s = _session()

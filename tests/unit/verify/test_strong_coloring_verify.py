@@ -1,8 +1,10 @@
 """Unit tests for the strong-arc-coloring verifier."""
 
+import numpy as np
 import pytest
 
 from repro.errors import VerificationError
+from repro.graphs.adjacency import DiGraph
 from repro.graphs.generators import complete_graph, path_graph
 from repro.verify import assert_strong_arc_coloring, check_strong_arc_coloring
 
@@ -40,6 +42,22 @@ class TestConflictDetection:
         colors[(0, 1)] = colors[(4, 5)] = 42  # distance > 2: fine
         assert check_strong_arc_coloring(d, colors, complete=False) == []
 
+    def test_rule2_alone_on_a_one_way_digraph(self):
+        # b's tail 2 neighbours a's head 1 through the arc (1, 2) only.
+        d = DiGraph([(0, 1), (1, 2), (2, 3)])
+        violations = check_strong_arc_coloring(d, {(0, 1): 7, (2, 3): 7}, complete=False)
+        assert violations == ["arcs (0, 1) and (2, 3) both use channel 7 but conflict"]
+
+    def test_rule3_alone_on_a_one_way_digraph(self):
+        # a's tail 1 neighbours b's head 2; b's tail 3 is far from a's head 0.
+        d = DiGraph([(1, 0), (1, 2), (3, 2)])
+        violations = check_strong_arc_coloring(d, {(1, 0): 7, (3, 2): 7}, complete=False)
+        assert violations == ["arcs (1, 0) and (3, 2) both use channel 7 but conflict"]
+
+    def test_no_underlying_edge_no_conflict(self):
+        d = DiGraph([(0, 1), (2, 3)])
+        assert check_strong_arc_coloring(d, {(0, 1): 7, (2, 3): 7}) == []
+
     def test_each_conflict_reported_once(self):
         d = path_graph(2).to_directed()
         violations = check_strong_arc_coloring(d, {(0, 1): 3, (1, 0): 3})
@@ -65,6 +83,56 @@ class TestStructuralChecks:
     def test_partial_mode(self):
         d = p4d()
         assert check_strong_arc_coloring(d, {(0, 1): 0}, complete=False) == []
+
+
+class TestMalformedKeysAndValues:
+    """Odd keys and channels keep the verdict the set-walk checker gave
+    them (no value is coerced); keys it raised on are named violations."""
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (1.5, 1, ["arc (0, 1) has invalid channel 1.5"]),
+            (1.0, 1, ["arc (0, 1) has invalid channel 1.0",
+                      "arcs (0, 1) and (1, 0) both use channel 1.0 but conflict"]),
+            (True, 1, ["arc (0, 1) has invalid channel True",
+                       "arcs (0, 1) and (1, 0) both use channel True but conflict"]),
+            ("red", "red", ["arc (0, 1) has invalid channel 'red'",
+                            "arc (1, 0) has invalid channel 'red'",
+                            "arcs (0, 1) and (1, 0) both use channel red but conflict"]),
+            (None, None, ["arc (0, 1) has invalid channel None",
+                          "arc (1, 0) has invalid channel None"]),
+            (2**70, 2**70, [f"arcs (0, 1) and (1, 0) both use channel {2**70} but conflict"]),
+            (np.int64(1), 1, [f"arc (0, 1) has invalid channel {np.int64(1)!r}",
+                              "arcs (0, 1) and (1, 0) both use channel 1 but conflict"]),
+        ],
+    )
+    def test_channel_values(self, a, b, expected):
+        d = path_graph(2).to_directed()
+        assert check_strong_arc_coloring(d, {(0, 1): a, (1, 0): b}) == expected
+
+    @pytest.mark.parametrize(
+        "key, expected",
+        [
+            ((0.0, 1), ["arcs (0.0, 1) and (1, 0) both use channel 0 but conflict"]),
+            ((0.5, 1), ["colored arc (0.5, 1) is not in the digraph"]),
+            (("a", "b"), ["colored arc ('a', 'b') is not in the digraph"]),
+            ((None, 1), ["colored arc (None, 1) is not in the digraph"]),
+            ((2**70, 0), [f"colored arc ({2**70}, 0) is not in the digraph"]),
+        ],
+    )
+    def test_endpoint_values(self, key, expected):
+        d = path_graph(2).to_directed()
+        colors = {key: 0, (1, 0): 0}
+        assert check_strong_arc_coloring(d, colors, complete=False) == expected
+
+    @pytest.mark.parametrize("key", [(0, 1, 2), (0,), 5])
+    def test_non_pair_key_is_named(self, key):
+        d = path_graph(2).to_directed()
+        colors = {key: 0, (1, 0): 0}
+        assert check_strong_arc_coloring(d, colors, complete=False) == [
+            f"arc key {key!r} is not a (tail, head) pair"
+        ]
 
 
 class TestAssertWrapper:
