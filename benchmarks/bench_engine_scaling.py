@@ -14,18 +14,16 @@ and runs each with the seed engine's general loop (``compute="general"``;
 ``fastpath=False`` on the flood probe's engine), the fast delivery path
 (``compute="pernode"``), and
 — for the two algorithm kinds — the fused palette-plane kernels
-(``compute="vectorized"``), the disk-backed sharded tier
-(``compute="sharded"``; skipped where no spill directory is writable)
-and, where numba is installed, the JIT round kernel
-(``compute="numba"``), recording wall time, rounds/sec, delivered
-messages/sec and peak RSS.  The sharded tier is reported as an
-*overhead* ratio over the vectorized kernels — it trades wall time for
-a bounded memory footprint, and its scaling story lives in
-``bench_shard_scaling.py``.  Each measurement executes in a
-forked child process so the RSS high-water mark is per-run, not
-cumulative.  All paths must be *bit-identical* (same metrics dict, same
-final program state digest) — any divergence fails the benchmark, so
-every run doubles as a correctness gate.
+(``compute="vectorized"``) and the disk-backed sharded tier
+(``compute="sharded"``; skipped where no spill directory is writable),
+recording wall time, rounds/sec, delivered messages/sec and peak RSS.
+The sharded tier is reported as an *overhead* ratio over the vectorized
+kernels — it trades wall time for a bounded memory footprint, and its
+scaling story lives in ``bench_shard_scaling.py``.  Each measurement
+executes in a forked child process so the RSS high-water mark is
+per-run, not cumulative.  All paths must be *bit-identical* (same
+metrics dict, same final program state digest) — any divergence fails
+the benchmark, so every run doubles as a correctness gate.
 
 Results land in ``BENCH_engine.json`` at the repo root by default.
 
@@ -138,13 +136,12 @@ def _digest(obj: Any) -> str:
 
 #: mode -> keyword arguments for the algorithm entry points.  ``general``
 #: is the seed engine's per-node loop, ``fast`` the vectorised delivery
-#: path, ``vectorized`` the fused palette-plane kernels, ``numba`` the
-#: JIT round kernel (requires numba), ``sharded`` the disk-backed tier.
+#: path, ``vectorized`` the fused palette-plane kernels, ``sharded`` the
+#: disk-backed tier.
 MODES: Dict[str, Dict[str, Any]] = {
     "general": dict(compute="general"),
     "fast": dict(compute="pernode"),
     "vectorized": dict(compute="vectorized"),
-    "numba": dict(compute="numba"),
     "sharded": dict(compute="sharded"),
 }
 
@@ -159,22 +156,11 @@ _SHARD_ONLY_FIELDS = (
 )
 
 
-def _numba_usable() -> bool:
-    from repro.core.kernels_numba import numba_available
-
-    return numba_available()
-
-
 def _modes_for(spec: Dict[str, Any]) -> list:
     """The measurement modes applicable to one workload."""
     modes = ["general", "fast"]
     if spec["kind"] in ("alg1", "dima2ed"):
         modes.append("vectorized")
-        # compute="numba" without numba installed just reruns the
-        # vectorized kernel — measure it only where the JIT actually
-        # engages.
-        if _numba_usable():
-            modes.append("numba")
         if _sharded_usable():
             modes.append("sharded")
     return modes
@@ -321,11 +307,6 @@ def run_sweep(smoke: bool, repeats: int) -> Dict[str, Any]:
             entry["speedup_vectorized_over_fast"] = _ratio(
                 fast["wall_s"], vec["wall_s"]
             )
-        jit = results.get("numba")
-        if jit is not None and vec is not None:
-            entry["speedup_numba_over_vectorized"] = _ratio(
-                vec["wall_s"], jit["wall_s"]
-            )
         sharded = results.get("sharded")
         if sharded is not None and vec is not None:
             # A cost, not a speedup: the disk-backed tier trades wall
@@ -337,10 +318,8 @@ def run_sweep(smoke: bool, repeats: int) -> Dict[str, Any]:
             entry["telemetry"] = fast["telemetry"]
         workloads[name] = entry
         flag = "OK " if identical else "DIVERGED"
-        extra = "".join(
-            f" {mode} {results[mode]['wall_s']:.3f}s"
-            for mode in ("vectorized", "numba")
-            if mode in results
+        extra = (
+            f" vectorized {vec['wall_s']:.3f}s" if vec is not None else ""
         )
         print(
             f"[{name}] {flag} general {slow['wall_s']:.3f}s "

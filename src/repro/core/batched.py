@@ -3,10 +3,9 @@
 The matching-discovery automaton is lockstep: in every superstep every
 live node runs the same phase of the C/I/L/R/W/U/E/D machine, so one
 whole-population kernel family per algorithm executes it — the fused
-plane kernels of :mod:`repro.core.vectorized`, with a JIT subclass
-(:mod:`repro.core.kernels_numba`) and a disk-backed one
-(:mod:`repro.core.sharded`).  This module decides whether a run may use
-them and which one it gets:
+plane kernels of :mod:`repro.core.vectorized` and their disk-backed
+subclass (:mod:`repro.core.sharded`).  This module decides whether a
+run may use them and which one it gets:
 
 * :func:`batched_eligible` — the gates (strict model, no faults,
   transport, tracer, monitors or recovery extensions); anything else
@@ -36,16 +35,14 @@ from repro.runtime.engine import BatchedEngine, RunResult
 __all__ = ["COMPUTE_MODES", "batched_eligible", "run_kernel", "select_backend"]
 
 #: The ``compute=`` values the algorithm wrappers accept.
-COMPUTE_MODES = ("auto", "vectorized", "numba", "sharded", "pernode", "general")
+COMPUTE_MODES = ("auto", "vectorized", "sharded", "pernode", "general")
 
 #: ``(algorithm, backend) -> (module, kernel class)``.  Resolved on use,
 #: so importing the dispatch code pulls in no kernel module.
 _KERNELS: Dict[Tuple[str, str], Tuple[str, str]] = {
     ("alg1", "vectorized"): ("repro.core.vectorized", "Alg1VecKernel"),
-    ("alg1", "numba"): ("repro.core.kernels_numba", "Alg1KernelNumba"),
     ("alg1", "sharded"): ("repro.core.sharded", "Alg1ShardKernel"),
     ("dima2ed", "vectorized"): ("repro.core.vectorized", "DiMa2EdVecKernel"),
-    ("dima2ed", "numba"): ("repro.core.kernels_numba", "DiMa2EdKernelNumba"),
     ("dima2ed", "sharded"): ("repro.core.sharded", "DiMa2EdShardKernel"),
 }
 
@@ -53,22 +50,13 @@ _KERNELS: Dict[Tuple[str, str], Tuple[str, str]] = {
 def select_backend(compute: str) -> str:
     """Which kernel an *eligible* run should instantiate.
 
-    ``"vectorized"`` names the fused plane kernels
-    (:mod:`repro.core.vectorized`); ``"numba"`` the JIT backend
-    (:mod:`repro.core.kernels_numba`), degrading silently to
-    ``"vectorized"`` when numba is not importable — the fallback is part
-    of the contract, since every backend is bit-identical and the choice
-    is purely a matter of speed.  ``"sharded"`` the disk-backed,
-    memory-bounded tier (:mod:`repro.core.sharded`) — opt-in only:
-    ``"auto"`` never selects it, because it trades wall time for bounded
-    residency.  ``"auto"`` probes numba and otherwise takes the
-    vectorized kernels.
+    ``"sharded"`` names the disk-backed, memory-bounded tier
+    (:mod:`repro.core.sharded`) — opt-in only: ``"auto"`` never selects
+    it, because it trades wall time for bounded residency.  Every other
+    mode (``"auto"``, ``"vectorized"``) takes the fused plane kernels
+    (:mod:`repro.core.vectorized`).
     """
-    if compute in ("vectorized", "sharded"):
-        return compute
-    from repro.core.kernels_numba import numba_available
-
-    return "numba" if numba_available() else "vectorized"
+    return "sharded" if compute == "sharded" else "vectorized"
 
 
 def batched_eligible(
@@ -85,13 +73,13 @@ def batched_eligible(
     """Whether the algorithm wrappers may select a whole-population kernel.
 
     ``compute`` is the wrapper knob, one of :data:`COMPUTE_MODES`:
-    ``"auto"`` (fastest eligible kernel), ``"vectorized"``/``"numba"``/
-    ``"sharded"`` (pin a kernel — same gates, and ineligible
-    configurations still fall back silently to the per-node loop,
-    results identical either way), ``"pernode"`` (never a kernel: the
-    per-node programs, on the engine's fast delivery path where the
-    engine allows it) and ``"general"`` (never a kernel and never the
-    fast path: the engine's reference delivery loop).  Unknown modes
+    ``"auto"`` (the vectorized kernels), ``"vectorized"``/``"sharded"``
+    (pin a kernel — same gates, and ineligible configurations still
+    fall back silently to the per-node loop, results identical either
+    way), ``"pernode"`` (never a kernel: the per-node programs, on the
+    engine's fast delivery path where the engine allows it) and
+    ``"general"`` (never a kernel and never the fast path: the engine's
+    reference delivery loop).  Unknown modes
     raise regardless of the other arguments.  Which kernel an eligible
     run instantiates is :func:`select_backend`'s decision.
 
@@ -167,7 +155,21 @@ def run_kernel(
     else:
         run = BatchedEngine(work, kernel, **engine_args).run()
     s_arr, t_arr, c_arr = kernel.assignment_arrays()
-    inv_map = np.empty(max(work.num_nodes, 1), dtype=np.int64)
-    for new, old in inverse.items():
-        inv_map[new] = old
-    return run, (inv_map[s_arr], inv_map[t_arr], c_arr)
+    labels = _label_table(inverse, work.num_nodes)
+    return run, (labels[s_arr], labels[t_arr], c_arr)
+
+
+def _label_table(inverse: Dict[int, object], n: int) -> np.ndarray:
+    """``inverse`` as an array indexed by contiguous id.
+
+    int64 when every label is an int that fits, so the callers' bulk
+    canonicalization stays in numpy; an object array otherwise (labels
+    beyond int64, str labels), which hands the labels back unchanged.
+    """
+    labels = [inverse[i] for i in range(n)]
+    if set(map(type, labels)) <= {int}:
+        try:
+            return np.array(labels, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.fromiter(labels, dtype=object, count=n)

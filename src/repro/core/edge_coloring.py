@@ -552,16 +552,15 @@ def color_edges(
         when running with faults, where disagreement is an expected
         observable.
     compute:
-        Compute-core selection: ``"auto"`` (default) runs the fastest
-        whole-population kernel whenever the configuration is eligible
-        — strict model, no faults/transport/tracer, paper-mode params —
-        and the per-node programs otherwise.  ``"vectorized"`` pins the
-        fused plane kernel (:mod:`repro.core.vectorized`), ``"numba"``
-        the JIT backend (:mod:`repro.core.kernels_numba`; silently the
-        vectorized kernel when numba is absent), ``"sharded"`` the
-        disk-backed memory-bounded tier (:mod:`repro.runtime.sharded`;
-        opt-in only — never chosen by ``"auto"``) — all under the same
-        gates, with ineligible configurations falling back silently.
+        Compute-core selection: ``"auto"`` (default) runs the fused
+        plane kernel (:mod:`repro.core.vectorized`) whenever the
+        configuration is eligible — strict model, no
+        faults/transport/tracer, paper-mode params — and the per-node
+        programs otherwise.  ``"vectorized"`` pins that kernel and
+        ``"sharded"`` the disk-backed memory-bounded tier
+        (:mod:`repro.runtime.sharded`; opt-in only — never chosen by
+        ``"auto"``) — both under the same gates, with ineligible
+        configurations falling back silently.
         ``"pernode"`` never uses a kernel: it runs the per-node programs
         on :class:`SynchronousEngine`'s fast delivery path where the
         engine allows it.  ``"general"`` runs them on the engine's

@@ -319,8 +319,8 @@ class MetricsRegistry:
 
 #: RunMetrics counter -> (metric name, help).  Every engine tier and the
 #: transport/fault layers account into RunMetrics, so this one fold
-#: instruments all of them: general/fast/vectorized/numba/sharded
-#: runs, reliable-transport retransmit/backoff traffic, and fault-model
+#: instruments all of them: general/fast/vectorized/sharded runs,
+#: reliable-transport retransmit/backoff traffic, and fault-model
 #: loss/duplication/crash accounting.
 RUN_COUNTERS: Dict[str, Tuple[str, str]] = {
     "supersteps": ("repro_supersteps", "Supersteps executed"),

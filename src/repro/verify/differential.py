@@ -1,7 +1,7 @@
 """Differential cross-tier equivalence runner.
 
-The repo carries six executions of the same algorithm semantics.  The
-five synchronous ones are ``compute=`` modes of the algorithm wrappers:
+The repo carries five executions of the same algorithm semantics.  The
+four synchronous ones are ``compute=`` modes of the algorithm wrappers:
 
 * ``general`` — the per-node programs on the engine's general delivery
   loop (``compute="general"``), the reference tier;
@@ -9,10 +9,6 @@ five synchronous ones are ``compute=`` modes of the algorithm wrappers:
   (``compute="pernode"``);
 * ``vectorized`` — the fused palette-plane kernels
   (:mod:`repro.core.vectorized`);
-* ``numba`` — the JIT-compiled round kernels
-  (:mod:`repro.core.kernels_numba`); skipped where numba is not
-  installed (``compute="numba"`` would silently fall back to the
-  vectorized kernel there, which this harness already covers);
 * ``sharded`` — the vectorized kernels hash-partitioned over
   disk-backed shards (:class:`~repro.runtime.sharded.ShardedEngine`);
   skipped where no spill directory is writable or memmaps are
@@ -20,7 +16,7 @@ five synchronous ones are ``compute=`` modes of the algorithm wrappers:
 * ``async`` — the per-node programs under the α-synchronizer
   (:class:`~repro.runtime.async_engine.AsyncEngine`).
 
-All six are documented as bit-identical.  This module makes that claim
+All five are documented as bit-identical.  This module makes that claim
 *checkable on demand* for any (algorithm, graph, seed) configuration:
 :func:`diff_tiers` runs a subset of tiers and diffs every comparable
 field — the coloring itself, round and superstep counts, the message
@@ -42,12 +38,12 @@ telemetry  yes       yes         —              async runs
                                                 untelemetered
 =========  ========  ==========  =============  ==========
 
-``numba`` and ``sharded`` compare on the same field set as
-``vectorized`` (all scalar counters plus full telemetry).
+``sharded`` compares on the same field set as ``vectorized`` (all
+scalar counters plus full telemetry).
 
-The ``numba`` tier needs an importable numba and the ``sharded`` tier
-a writable spill directory for its memmapped shards; both are reported
-as *skipped* (never silently dropped) where unavailable.
+The ``sharded`` tier needs a writable spill directory for its
+memmapped shards; it is reported as *skipped* (never silently dropped)
+where unavailable.
 """
 
 from __future__ import annotations
@@ -93,7 +89,6 @@ TIERS = (
     "general",
     "fastpath",
     "vectorized",
-    "numba",
     "sharded",
     "async",
 )
@@ -104,7 +99,6 @@ _WRAPPER_TIERS: Dict[str, str] = {
     "general": "general",
     "fastpath": "pernode",
     "vectorized": "vectorized",
-    "numba": "numba",
     "sharded": "sharded",
 }
 
@@ -242,12 +236,6 @@ def available_tiers(tiers: Optional[Sequence[str]] = None) -> Tuple[List[str], D
             f"unknown tier(s) {unknown}; expected a subset of {TIERS}"
         )
     skipped: Dict[str, str] = {}
-    if "numba" in requested:
-        from repro.core.kernels_numba import numba_available
-
-        if not numba_available():
-            requested.remove("numba")
-            skipped["numba"] = "numba is not installed"
     if "sharded" in requested:
         from repro.graphs.shards import sharded_available
 

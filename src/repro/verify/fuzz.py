@@ -214,7 +214,7 @@ class FuzzResult:
     elapsed_seconds: float
     #: configurations checked per family name.
     per_family: Dict[str, int] = field(default_factory=dict)
-    #: Tiers skipped on this host (e.g. numba when it is not installed).
+    #: Tiers skipped on this host (e.g. sharded without a spill directory).
     skipped_tiers: Dict[str, str] = field(default_factory=dict)
     #: None when every configuration agreed.
     counterexample: Optional[Counterexample] = None

@@ -1,10 +1,9 @@
 """Bit-identity of the default compute path against the per-node loop.
 
 ``color_edges(g)`` and ``strong_color_arcs(d)`` with no ``compute``
-argument run whichever whole-population kernel
-:func:`repro.core.batched.select_backend` picks for ``"auto"`` on this
-host (numba where it imports, the vectorized plane kernels otherwise),
-driven by :class:`repro.runtime.engine.BatchedEngine`.  Nothing in the
+argument run the kernel :func:`repro.core.batched.select_backend`
+picks for ``"auto"`` — the vectorized plane kernels — driven by
+:class:`repro.runtime.engine.BatchedEngine`.  Nothing in the
 kernels shares code with the per-node programs, so equality here is an
 end-to-end proof that the default path preserves the semantics *and*
 the RNG draw sequence: the general per-node loop (``compute="general"``)
@@ -22,6 +21,7 @@ import pytest
 
 from repro.core.dima2ed import strong_color_arcs
 from repro.core.edge_coloring import color_edges
+from repro.graphs.adjacency import Graph
 from repro.graphs.generators import (
     erdos_renyi_avg_degree,
     random_regular,
@@ -30,11 +30,34 @@ from repro.graphs.generators import (
 )
 from repro.runtime.observe import AutomatonTelemetry
 
+def _er(seed):
+    return erdos_renyi_avg_degree(48, 5.0, seed=seed)
+
+
+def _er_labeled(label):
+    """The ER family with node ``u`` renamed ``label(u)``."""
+
+    def make(seed):
+        base = _er(seed)
+        g = Graph()
+        g.add_nodes_from(label(u) for u in base)
+        g.add_edges_from((label(u), label(v)) for u, v in base.edges())
+        return g
+
+    return make
+
+
 FAMILIES = {
-    "er": lambda seed: erdos_renyi_avg_degree(48, 5.0, seed=seed),
+    "er": _er,
     "scale-free": lambda seed: scale_free(48, 3, seed=seed),
     "small-world": lambda seed: small_world(48, 4, 0.2, seed=seed),
     "regular": lambda seed: random_regular(48, 4, seed=seed),
+    # Caller labels: the kernels run on contiguous ids and must hand
+    # back these, including ones an int64 id table cannot hold.
+    "er-labels-beyond-int64": _er_labeled(lambda u: u * 2**64 - 7),
+    "er-labels-negative": _er_labeled(lambda u: -u - 1),
+    "er-labels-str": _er_labeled(lambda u: f"v{u}"),
+    "er-labels-digit-str": _er_labeled(str),
 }
 
 SEEDS = (0, 1, 2)

@@ -22,15 +22,18 @@ endgame, nodes halting between capture and kill.
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.edge_coloring import EdgeColoringProgram
-from repro.core.kernels_numba import Alg1KernelNumba
+from repro.core.sharded import Alg1ShardKernel
 from repro.core.vectorized import Alg1VecKernel, DiMa2EdVecKernel
 from repro.graphs.generators import erdos_renyi_avg_degree, scale_free, small_world
 from repro.resilience import Checkpointer, CheckpointStore, resume_engine
 from repro.runtime.engine import BatchedEngine, SynchronousEngine
+from repro.runtime.sharded import ShardedEngine
 from repro.types import canonical_edge
 from repro.verify.differential import colors_digest
 
@@ -183,8 +186,7 @@ class TestVectorizedKillRestore:
     """The fused plane kernels write the ``"batched"`` checkpoint kind;
     a mid-run snapshot must resume to the exact uninterrupted run —
     including the vectorized RNG state and the chunked assignment log —
-    for Algorithm 1, DiMa2Ed (a DiGraph topology) and the numba kernel's
-    interpreted fallback."""
+    for Algorithm 1 and DiMa2Ed (a DiGraph topology)."""
 
     @RELAXED
     @given(
@@ -192,12 +194,9 @@ class TestVectorizedKillRestore:
         seed=st.integers(min_value=0, max_value=2**16),
         kill_at=st.floats(min_value=0.05, max_value=0.95),
         every=st.integers(min_value=1, max_value=9),
-        kernel_cls=st.sampled_from([Alg1VecKernel, Alg1KernelNumba]),
     )
-    def test_alg1_restore_is_bit_identical(
-        self, graph, seed, kill_at, every, kernel_cls
-    ):
-        base_kernel = kernel_cls()
+    def test_alg1_restore_is_bit_identical(self, graph, seed, kill_at, every):
+        base_kernel = Alg1VecKernel()
         base = BatchedEngine(graph, base_kernel, seed=seed).run()
         assert base.completed
         base_colors = {
@@ -208,7 +207,7 @@ class TestVectorizedKillRestore:
         store = CheckpointStore(keep=2)
         killed = BatchedEngine(
             graph,
-            kernel_cls(),
+            Alg1VecKernel(),
             seed=seed,
             max_supersteps=kill,
             checkpointer=Checkpointer(every, store),
@@ -273,3 +272,82 @@ class TestVectorizedKillRestore:
         assert resumed.supersteps == base.supersteps
         assert resumed_colors == base_colors
         assert resumed.metrics.to_dict() == base.metrics.to_dict()
+
+
+#: Runs large enough that the MT streams cross every chunk of the pool
+#: VectorMT regenerates lazily (words 0-226, 227-453, 454-623): the
+#: graphs above (n <= 40, degree <= 4) keep every stream in the first.
+#: Alg. 1 takes 692 supersteps and its streams reach word 562;
+#: DiMa2Ed takes 856, reaches word 623 and starts a second pool cycle.
+#: The last kill point is mid-round with the third chunk still ahead.
+_ALG1_RUN = (lambda: erdos_renyi_avg_degree(200, 60, seed=5), 11, 521)
+_CHUNK_RUNS = {
+    "alg1-vectorized": (Alg1VecKernel, *_ALG1_RUN),
+    "alg1-sharded": (Alg1ShardKernel, *_ALG1_RUN),
+    "dima2ed-vectorized": (
+        DiMa2EdVecKernel,
+        lambda: erdos_renyi_avg_degree(120, 24, seed=3).to_directed(),
+        4,
+        441,
+    ),
+}
+
+#: Sharded-only metric fields that are wall clock or host RSS.
+_HOST_FIELDS = ("shard_exchange_seconds", "shard_peak_rss_kb")
+
+
+class TestPoolChunkResume:
+    """Kill + resume is invisible wherever the kill leaves the lazily
+    regenerated MT pools: in the first rounds, and mid-round late in
+    the run, before streams regenerate the pool's last chunk."""
+
+    @staticmethod
+    def _engine(kernel_cls, graph, seed, spill_dir, **kwargs):
+        if kernel_cls is Alg1ShardKernel:
+            return ShardedEngine(
+                graph,
+                kernel_cls(),
+                num_shards=3,
+                spill_dir=spill_dir,
+                seed=seed,
+                **kwargs,
+            )
+        return BatchedEngine(graph, kernel_cls(), seed=seed, **kwargs)
+
+    @staticmethod
+    def _fingerprint(engine, run):
+        s, t, c = engine.kernel.assignment_arrays()
+        metrics = run.metrics.to_dict()
+        for name in _HOST_FIELDS:
+            metrics.pop(name, None)
+        colors = dict(zip(zip(s.tolist(), t.tolist()), c.tolist()))
+        return run.completed, run.supersteps, colors_digest(colors), metrics
+
+    @pytest.mark.parametrize("case", sorted(_CHUNK_RUNS))
+    def test_resume_across_pool_chunks(self, case, tmp_path):
+        kernel_cls, make_graph, seed, late_kill = _CHUNK_RUNS[case]
+        graph = make_graph()
+        engine = self._engine(kernel_cls, graph, seed, tmp_path / "base")
+        base = self._fingerprint(engine, engine.run())
+        assert base[0]
+        mt = engine.kernel._mt
+        mti = np.concatenate(mt.mti) if isinstance(mt.mti, list) else mt.mti
+        assert ((mti > 454) & (mti < 624)).any(), "no stream reached chunk 3"
+
+        for kill in (1, 2, 3, late_kill):
+            store = CheckpointStore(keep=1)
+            killed = self._engine(
+                kernel_cls,
+                graph,
+                seed,
+                tmp_path / f"killed-{kill}",
+                max_supersteps=kill,
+                # Captures only at budget exhaustion: the kill superstep.
+                checkpointer=Checkpointer(10**9, store),
+            ).run()
+            assert not killed.completed
+            assert store.latest().superstep == kill
+            resumed = resume_engine(
+                store.latest(), graph, spill_dir=tmp_path / f"resumed-{kill}"
+            )
+            assert self._fingerprint(resumed, resumed.run()) == base, kill

@@ -8,18 +8,12 @@ the per-node programs, so the reference is the general per-node loop
 (``compute="general"``): for every family, seed and
 strategy combination, colorings, round/superstep counts and the full
 metrics dict must match it exactly.
-
-The numba backend is the same kernel family once more with the inner
-loops njit-compiled; its tests run the *interpreted* fallback (numba is
-not a dependency of this repo) by forcing the backend probe, which
-executes the identical Python source the JIT would compile.
 """
 
 import hashlib
 
 import pytest
 
-import repro.core.kernels_numba as kernels_numba
 from repro.core.dima2ed import StrongColoringParams, strong_color_arcs
 from repro.core.edge_coloring import EdgeColoringParams, color_edges
 from repro.graphs.generators import (
@@ -89,57 +83,3 @@ def test_dima2ed_channel_strategies(channel_strategy):
     reference = strong_color_arcs(d, seed=5, params=params, compute="general")
     vectorized = strong_color_arcs(d, seed=5, params=params, compute="vectorized")
     _assert_same(vectorized, reference)
-
-
-class TestNumbaInterpretedPath:
-    """compute="numba" with the backend probe forced on runs the numba
-    kernel's functions as plain Python (the ``_njit_or_identity``
-    fallback) — the exact source the JIT would compile."""
-
-    @pytest.fixture
-    def force_numba_backend(self, monkeypatch):
-        monkeypatch.setattr(kernels_numba, "numba_available", lambda: True)
-
-    @pytest.mark.parametrize("family", ["er", "scale-free"])
-    def test_alg1_matches_vectorized(self, force_numba_backend, family):
-        g = FAMILIES[family](1)
-        vectorized = color_edges(g, seed=1, compute="vectorized")
-        numba = color_edges(g, seed=1, compute="numba")
-        _assert_same(numba, vectorized)
-
-    @pytest.mark.parametrize("color_strategy", ["lowest", "random_window"])
-    @pytest.mark.parametrize("responder_strategy", ["random", "lowest_color"])
-    def test_alg1_strategies_match(
-        self, force_numba_backend, color_strategy, responder_strategy
-    ):
-        g = FAMILIES["regular"](3)
-        params = EdgeColoringParams(
-            color_strategy=color_strategy, responder_strategy=responder_strategy
-        )
-        vectorized = color_edges(g, seed=3, params=params, compute="vectorized")
-        numba = color_edges(g, seed=3, params=params, compute="numba")
-        _assert_same(numba, vectorized)
-
-    @pytest.mark.parametrize("family", ["er", "small-world"])
-    def test_dima2ed_matches_vectorized(self, force_numba_backend, family):
-        d = FAMILIES[family](2).to_directed()
-        vectorized = strong_color_arcs(d, seed=2, compute="vectorized")
-        numba = strong_color_arcs(d, seed=2, compute="numba")
-        _assert_same(numba, vectorized)
-
-    @pytest.mark.parametrize("channel_strategy", ["random_window", "first_fit"])
-    def test_dima2ed_strategies_match(self, force_numba_backend, channel_strategy):
-        d = FAMILIES["regular"](4).to_directed()
-        params = StrongColoringParams(channel_strategy=channel_strategy)
-        vectorized = strong_color_arcs(d, seed=4, params=params, compute="vectorized")
-        numba = strong_color_arcs(d, seed=4, params=params, compute="numba")
-        _assert_same(numba, vectorized)
-
-    def test_dima2ed_without_numba_falls_back_silently(self, monkeypatch):
-        # With numba genuinely unavailable, compute="numba" routes to the
-        # vectorized kernel — same answer, no error, no warning.
-        monkeypatch.setattr(kernels_numba, "numba_available", lambda: False)
-        d = FAMILIES["er"](6).to_directed()
-        vectorized = strong_color_arcs(d, seed=6, compute="vectorized")
-        fallback = strong_color_arcs(d, seed=6, compute="numba")
-        _assert_same(fallback, vectorized)

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-import repro.core.kernels_numba as kernels_numba
 from repro.core.batched import COMPUTE_MODES, batched_eligible, select_backend
 from repro.core.vectorized import Alg1VecKernel, DiMa2EdVecKernel
 from repro.core.dima2ed import StrongColoringParams, strong_color_arcs
@@ -45,7 +44,7 @@ class TestBatchedEligible:
 
     def test_compute_batched_same_gates(self):
         # Pinning a kernel changes which one runs, never the gates.
-        for compute in ("vectorized", "numba", "sharded"):
+        for compute in ("vectorized", "sharded"):
             assert batched_eligible(**{**ELIGIBLE, "compute": compute})
             assert not batched_eligible(
                 **{**ELIGIBLE, "compute": compute, "strict": False}
@@ -88,10 +87,11 @@ class TestBatchedEligible:
             assert all(p.kind is not p.VAR_KEYWORD for p in params.values())
 
     def test_retired_batched_mode_raises(self):
-        # Not an alias for any kernel: it fails like any unknown mode.
-        assert "batched" not in COMPUTE_MODES
-        with pytest.raises(ConfigurationError, match="compute must be one of"):
-            batched_eligible(**{**ELIGIBLE, "compute": "batched"})
+        # Not an alias for any kernel: each fails like any unknown mode.
+        for retired in ("batched", "numba"):
+            assert retired not in COMPUTE_MODES
+            with pytest.raises(ConfigurationError, match="compute must be one of"):
+                batched_eligible(**{**ELIGIBLE, "compute": retired})
 
 
 @pytest.fixture
@@ -218,28 +218,17 @@ class TestBatchedTelemetry:
 
 
 class TestSelectBackend:
-    """Backend dispatch: explicit pins are honored, and the JIT tier
-    degrades silently to the vectorized kernels when numba is absent —
-    the fallback is part of the contract (all backends are
-    bit-identical; the choice is purely speed)."""
+    """Backend dispatch: explicit pins are honored, and ``"auto"`` takes
+    the vectorized kernels (never the opt-in sharded tier)."""
 
     def test_explicit_pins(self):
         assert select_backend("vectorized") == "vectorized"
         assert select_backend("sharded") == "sharded"
 
-    @pytest.mark.parametrize("compute", ["auto", "numba"])
-    def test_numba_absent_falls_back_to_vectorized(self, compute, monkeypatch):
-        monkeypatch.setattr(kernels_numba, "numba_available", lambda: False)
-        assert select_backend(compute) == "vectorized"
-
-    @pytest.mark.parametrize("compute", ["auto", "numba"])
-    def test_numba_present_selects_numba(self, compute, monkeypatch):
-        monkeypatch.setattr(kernels_numba, "numba_available", lambda: True)
-        assert select_backend(compute) == "numba"
-
     def test_auto_routes_to_a_vec_kernel(self, monkeypatch):
-        """compute="auto" on an eligible run without numba must
-        instantiate the plane kernels."""
+        """compute="auto" on an eligible run must instantiate the plane
+        kernels."""
+        assert select_backend("auto") == "vectorized"
         bound = []
         orig = Alg1VecKernel.bind_graph
 
@@ -248,7 +237,6 @@ class TestSelectBackend:
             return orig(self, *args, **kwargs)
 
         monkeypatch.setattr(Alg1VecKernel, "bind_graph", spy)
-        monkeypatch.setattr(kernels_numba, "numba_available", lambda: False)
         g = erdos_renyi_avg_degree(30, 4.0, seed=0)
         color_edges(g, seed=0, compute="auto")
         assert bound and all("Vec" in name for name in bound)

@@ -1,6 +1,6 @@
 """Golden format-1 checkpoint files.
 
-Both files hold the same Algorithm 1 run (the 12-node graph below,
+All three files hold the same Algorithm 1 run (the 12-node graph below,
 seed 3), killed at superstep 31 of 60 and saved with
 :meth:`EngineCheckpoint.save`:
 
@@ -8,8 +8,10 @@ seed 3), killed at superstep 31 of 60 and saved with
   plane kernel, which still ships, so it must resume to the
   uninterrupted run;
 * ``golden/alg1-bigint-format1.ckpt`` was captured on the retired
-  per-superstep bigint kernel (``repro.core.batched.Alg1Kernel``), so
-  loading it must fail with a typed error naming the file and class.
+  per-superstep bigint kernel (``repro.core.batched.Alg1Kernel``) and
+  ``golden/alg1-numba-format1.ckpt`` on the retired JIT kernel
+  (``repro.core.kernels_numba.Alg1KernelNumba``), so loading either
+  must fail with a typed error naming the file and class.
 """
 
 from pathlib import Path
@@ -71,9 +73,13 @@ class TestGoldenCheckpoints:
         assert run.metrics.to_dict() == base.metrics.to_dict()
 
     def test_retired_kernel_checkpoint_raises_typed_error(self):
-        path = GOLDEN / "alg1-bigint-format1.ckpt"
-        with pytest.raises(ConfigurationError) as info:
-            load_checkpoint(path)
-        message = str(info.value)
-        assert "repro.core.batched.Alg1Kernel" in message
-        assert str(path) in message
+        for name, kernel in (
+            ("alg1-bigint-format1.ckpt", "repro.core.batched.Alg1Kernel"),
+            ("alg1-numba-format1.ckpt", "repro.core.kernels_numba.Alg1KernelNumba"),
+        ):
+            path = GOLDEN / name
+            with pytest.raises(ConfigurationError) as info:
+                load_checkpoint(path)
+            message = str(info.value)
+            assert kernel in message
+            assert str(path) in message

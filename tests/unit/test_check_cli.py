@@ -92,7 +92,7 @@ class TestCheckCommand:
         assert err.count("\n") == 1
         assert err.startswith("repro check: ") and "bad.edges:2" in err
 
-    @pytest.mark.parametrize("retired", ["batched", "parallel"])
+    @pytest.mark.parametrize("retired", ["batched", "parallel", "numba"])
     def test_replay_naming_a_missing_tier_exits_two(self, tmp_path, capsys, retired):
         ce = Counterexample(
             algorithm="alg1",
