@@ -42,40 +42,27 @@ Two points the paper leaves under-specified are resolved as follows
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-import numpy as np
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
-
-from repro.errors import (
-    ConfigurationError,
-    ConvergenceError,
-    GraphError,
-    VerificationError,
-)
-from repro.core._coerce import coerce_digraph, relabel_for_engine
+from repro.errors import ConfigurationError, GraphError, VerificationError
+from repro.core._coerce import coerce_digraph
 from repro.core.automaton import MatchingAutomatonProgram
-from repro.core.batched import batched_eligible, run_kernel, select_backend
-from repro.core.edge_coloring import (
-    _application_supersteps,
-    _resolve_transport,
-    _unwrap_programs,
-)
+from repro.core.batched import AlgorithmRow, run_algorithm
 from repro.core.messages import Invite, Reply, Report
 from repro.core.palette import first_free
-from repro.core.states import PHASES_PER_ROUND
-from repro.graphs.adjacency import DiGraph
-from repro.runtime.engine import RunResult, SynchronousEngine
+from repro.graphs.adjacency import DiGraph, Graph
+from repro.runtime.engine import RunResult
 from repro.runtime.faults import MessageFilter
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.node import Context, NodeProgram
 from repro.runtime.observe import AutomatonTelemetry, PhaseProfiler
 from repro.runtime.trace import EventTracer
-from repro.runtime.transport import TransportConfig, collect_transport_stats, with_reliable_transport
+from repro.runtime.transport import TransportConfig
 from repro.types import Arc, Color
 
 __all__ = [
+    "DIMA2ED",
     "DiMa2EdProgram",
     "StrongColoringParams",
     "StrongColoringResult",
@@ -105,8 +92,8 @@ class DiMa2EdProgram(MatchingAutomatonProgram):
     def __init__(
         self,
         node_id: int,
-        out_neighbors: List[int],
-        in_neighbors: List[int],
+        out_neighbors: Iterable[int],
+        in_neighbors: Iterable[int],
         *,
         p_invite: float = 0.5,
         channel_strategy: str = "random_window",
@@ -500,125 +487,25 @@ def strong_color_arcs(
     ConvergenceError
         If the round budget is exhausted.
     """
-    params = params or StrongColoringParams()
     digraph = coerce_digraph(digraph)
     if not digraph.is_symmetric():
         raise GraphError("DiMa2Ed requires a symmetric digraph (paper §III)")
-    topology = digraph.to_undirected()
-    work, mapping = relabel_for_engine(topology)
-    inverse = {new: old for old, new in mapping.items()}
-    # Δ from the CSR degree array — to_csr() is cached on the graph, so
-    # the engine reuses the same arrays.
-    indptr, _ = work.to_csr()
-    delta = int(np.diff(indptr).max()) if work.num_nodes else 0
-    budget_rounds = (
-        params.max_rounds
-        if params.max_rounds is not None
-        else default_strong_round_budget(delta)
-    )
-    transport_cfg = _resolve_transport(transport)
-    if batched_eligible(
-        compute=compute,
-        strict=params.strict,
-        faults=faults,
-        transport=transport_cfg,
-        tracer=tracer,
-        recovery=params.recovery,
-        monitors=monitors,
-    ):
-        run, (s_arr, t_arr, c_arr) = run_kernel(
-            "dima2ed",
-            select_backend(compute),
-            work,
-            inverse,
-            dict(
-                p_invite=params.p_invite,
-                channel_strategy=params.channel_strategy,
-            ),
-            seed=seed,
-            max_supersteps=budget_rounds * PHASES_PER_ROUND,
-            telemetry=telemetry,
-            profiler=profiler,
-            publisher=publisher,
-            shards=shards,
-            spill_dir=spill_dir,
-        )
-        if not run.completed:
-            raise ConvergenceError(
-                f"strong coloring did not terminate within {budget_rounds} "
-                f"rounds (n={digraph.num_nodes}, Δ={delta}, seed={seed})",
-                rounds=budget_rounds,
-            )
-        # One record per arc (head-side acceptance), so tail/head
-        # consistency holds by construction.
-        colors = dict(zip(zip(s_arr.tolist(), t_arr.tolist()), c_arr.tolist()))
-        return StrongColoringResult(
-            colors=colors,
-            rounds=math.ceil(run.supersteps / PHASES_PER_ROUND),
-            supersteps=run.supersteps,
-            metrics=run.metrics,
-            seed=seed,
-            delta=delta,
-        )
-
-    def factory(node_id: int) -> DiMa2EdProgram:
-        original = inverse[node_id]
-        return DiMa2EdProgram(
-            node_id,
-            out_neighbors=[mapping[v] for v in digraph.successors(original)],
-            in_neighbors=[mapping[v] for v in digraph.predecessors(original)],
-            p_invite=params.p_invite,
-            channel_strategy=params.channel_strategy,
-            recovery=params.recovery,
-            presume_dead_after=params.presume_dead_after,
-        )
-
-    engine_factory = (
-        with_reliable_transport(factory, transport_cfg)
-        if transport_cfg is not None
-        else factory
-    )
-    app_budget = budget_rounds * PHASES_PER_ROUND
-    max_supersteps = (
-        transport_cfg.supersteps_budget(app_budget)
-        if transport_cfg is not None
-        else app_budget
-    )
-    engine = SynchronousEngine(
-        work,
-        engine_factory,
+    return run_algorithm(
+        DIMA2ED,
+        digraph.to_undirected(),
+        params or StrongColoringParams(),
         seed=seed,
-        max_supersteps=max_supersteps,
-        strict=params.strict,
         faults=faults,
+        transport=transport,
         tracer=tracer,
         telemetry=telemetry,
         profiler=profiler,
-        fastpath=compute != "general",
+        check_consistency=check_consistency,
+        compute=compute,
         monitors=monitors,
         publisher=publisher,
-    )
-    run = engine.run()
-    if not run.completed:
-        raise ConvergenceError(
-            f"strong coloring did not terminate within {budget_rounds} rounds "
-            f"(n={digraph.num_nodes}, Δ={delta}, seed={seed})",
-            rounds=budget_rounds,
-        )
-    if transport_cfg is not None:
-        collect_transport_stats(run.programs).fold_into(run.metrics)
-    programs = _unwrap_programs(run)
-    supersteps = _application_supersteps(run, transport_cfg is not None)
-
-    colors = _collect_arc_colors(programs, inverse, check_consistency)
-    return StrongColoringResult(
-        colors=colors,
-        rounds=math.ceil(supersteps / PHASES_PER_ROUND),
-        supersteps=supersteps,
-        metrics=run.metrics,
-        seed=seed,
-        delta=delta,
-        crashed=frozenset(inverse[u] for u in run.crashed),
+        shards=shards,
+        spill_dir=spill_dir,
     )
 
 
@@ -628,9 +515,8 @@ def _collect_arc_colors(
     check_consistency: bool,
 ) -> Dict[Arc, Color]:
     """Merge per-node arc colors, checking tail/head agreement."""
-    programs = _unwrap_programs(programs)
     colors: Dict[Arc, Color] = {}
-    for program in programs:
+    for program in getattr(programs, "programs", programs):
         assert isinstance(program, DiMa2EdProgram)
         for (tail, head), channel in program.arc_colors.items():
             arc = (inverse[tail], inverse[head])
@@ -642,3 +528,33 @@ def _collect_arc_colors(
                     f"endpoints of arc {arc} disagree: {previous} vs {channel}"
                 )
     return colors
+
+
+def _make_program(
+    node_id: int, work: Graph, params: StrongColoringParams
+) -> DiMa2EdProgram:
+    # On the symmetric digraphs strong_color_arcs accepts, a node's
+    # successors and predecessors are both its undirected neighbors.
+    partners = work.neighbors(node_id)
+    return DiMa2EdProgram(
+        node_id,
+        out_neighbors=partners,
+        in_neighbors=partners,
+        p_invite=params.p_invite,
+        channel_strategy=params.channel_strategy,
+        recovery=params.recovery,
+        presume_dead_after=params.presume_dead_after,
+    )
+
+
+#: DiMa2Ed on the shared run path (:mod:`repro.core.batched`).
+DIMA2ED = AlgorithmRow(
+    name="dima2ed",
+    noun="strong coloring",
+    default_rounds=default_strong_round_budget,
+    program=_make_program,
+    kernel_params=("p_invite", "channel_strategy"),
+    collect=_collect_arc_colors,
+    arcs=True,
+    result=StrongColoringResult,
+)

@@ -27,35 +27,27 @@ reports can make an inviter's knowledge stale.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-import numpy as np
-
-from repro.errors import ConfigurationError, ConvergenceError, VerificationError
-from repro.core._coerce import coerce_graph, relabel_for_engine
+from repro.errors import ConfigurationError, VerificationError
+from repro.core._coerce import coerce_graph
 from repro.core.automaton import MatchingAutomatonProgram
-from repro.core.batched import batched_eligible, run_kernel, select_backend
+from repro.core.batched import AlgorithmRow, run_algorithm
 from repro.core.messages import Invite, Reply, Report
 from repro.core.palette import ColorLedger, first_free
-from repro.core.states import PHASES_PER_ROUND
 from repro.graphs.adjacency import Graph
-from repro.runtime.engine import RunResult, SynchronousEngine
+from repro.runtime.engine import RunResult
 from repro.runtime.faults import MessageFilter
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.node import Context, NodeProgram
 from repro.runtime.observe import AutomatonTelemetry, PhaseProfiler
 from repro.runtime.trace import EventTracer
-from repro.runtime.transport import (
-    ReliableTransportProgram,
-    TransportConfig,
-    collect_transport_stats,
-    with_reliable_transport,
-)
+from repro.runtime.transport import TransportConfig
 from repro.types import Color, Edge, canonical_edge
 
 __all__ = [
+    "ALG1",
     "EdgeColoringProgram",
     "EdgeColoringParams",
     "EdgeColoringResult",
@@ -430,10 +422,14 @@ class EdgeColoringResult:
     metrics: RunMetrics
     seed: int
     delta: int
-    palette: List[Color] = field(default_factory=list)
     #: Nodes crash-stopped by the fault model (original labels); judge
     #: the coloring with :mod:`repro.verify.partial` when non-empty.
     crashed: FrozenSet[int] = frozenset()
+
+    @property
+    def palette(self) -> List[Color]:
+        """The distinct colors used, ascending."""
+        return sorted(set(self.colors.values()))
 
     @property
     def num_colors(self) -> int:
@@ -459,44 +455,6 @@ def default_round_budget(delta: int) -> int:
     signals a bug or astronomically bad luck rather than normal variance.
     """
     return 40 * max(1, delta) + 200
-
-
-def _resolve_transport(
-    transport: Union[bool, TransportConfig, None]
-) -> Optional[TransportConfig]:
-    """Normalize the ``transport`` argument of the algorithm wrappers."""
-    if transport is None or transport is False:
-        return None
-    if transport is True:
-        return TransportConfig()
-    if isinstance(transport, TransportConfig):
-        return transport
-    raise ConfigurationError(
-        f"transport must be a bool or TransportConfig, got {transport!r}"
-    )
-
-
-def _unwrap_programs(run) -> List[NodeProgram]:
-    """The algorithm programs, behind the transport wrapper if present.
-
-    Accepts any result object with a ``programs`` list (``RunResult``,
-    ``AsyncRunResult``) or a bare program list.
-    """
-    return [getattr(p, "inner", p) for p in getattr(run, "programs", run)]
-
-
-def _application_supersteps(run: RunResult, transported: bool) -> int:
-    """Supersteps as seen by the *algorithm* (pulses under transport)."""
-    if not transported:
-        return run.supersteps
-    return max(
-        (
-            p.pulse + 1
-            for p in run.programs
-            if isinstance(p, ReliableTransportProgram)
-        ),
-        default=0,
-    )
 
 
 def color_edges(
@@ -592,128 +550,22 @@ def color_edges(
     VerificationError
         If endpoint records disagree (with ``check_consistency=True``).
     """
-    params = params or EdgeColoringParams()
-    graph = coerce_graph(graph)
-    work, mapping = relabel_for_engine(graph)
-    inverse = {new: old for old, new in mapping.items()}
-    # Δ from the CSR degree array — to_csr() is cached on the graph, so
-    # the engine reuses the same arrays.
-    indptr, _ = work.to_csr()
-    delta = int(np.diff(indptr).max()) if work.num_nodes else 0
-
-    budget_rounds = (
-        params.max_rounds if params.max_rounds is not None else default_round_budget(delta)
-    )
-    transport_cfg = _resolve_transport(transport)
-    if batched_eligible(
-        compute=compute,
-        strict=params.strict,
-        faults=faults,
-        transport=transport_cfg,
-        tracer=tracer,
-        recovery=params.recovery,
-        defensive=params.defensive,
-        monitors=monitors,
-    ):
-        run, (s_arr, t_arr, c_arr) = run_kernel(
-            "alg1",
-            select_backend(compute),
-            work,
-            inverse,
-            dict(
-                p_invite=params.p_invite,
-                color_strategy=params.color_strategy,
-                responder_strategy=params.responder_strategy,
-            ),
-            seed=seed,
-            max_supersteps=budget_rounds * PHASES_PER_ROUND,
-            telemetry=telemetry,
-            profiler=profiler,
-            publisher=publisher,
-            shards=shards,
-            spill_dir=spill_dir,
-        )
-        if not run.completed:
-            raise ConvergenceError(
-                f"edge coloring did not terminate within {budget_rounds} rounds "
-                f"(n={graph.num_nodes}, Δ={delta}, seed={seed})",
-                rounds=budget_rounds,
-            )
-        # One record per edge (the kernel writes each pairing once), so
-        # endpoint consistency holds by construction; canonicalize the
-        # edges in bulk instead of per-record Python tuple work.
-        lo = np.minimum(s_arr, t_arr)
-        hi = np.maximum(s_arr, t_arr)
-        colors = dict(zip(zip(lo.tolist(), hi.tolist()), c_arr.tolist()))
-        return EdgeColoringResult(
-            colors=colors,
-            rounds=math.ceil(run.supersteps / PHASES_PER_ROUND),
-            supersteps=run.supersteps,
-            metrics=run.metrics,
-            seed=seed,
-            delta=delta,
-            palette=sorted(set(colors.values())),
-        )
-
-    def factory(node_id: int) -> EdgeColoringProgram:
-        return EdgeColoringProgram(
-            node_id,
-            p_invite=params.p_invite,
-            defensive=params.defensive,
-            recovery=params.recovery,
-            presume_dead_after=params.presume_dead_after,
-            color_strategy=params.color_strategy,
-            responder_strategy=params.responder_strategy,
-        )
-
-    engine_factory = (
-        with_reliable_transport(factory, transport_cfg)
-        if transport_cfg is not None
-        else factory
-    )
-    app_budget = budget_rounds * PHASES_PER_ROUND
-    max_supersteps = (
-        transport_cfg.supersteps_budget(app_budget)
-        if transport_cfg is not None
-        else app_budget
-    )
-    engine = SynchronousEngine(
-        work,
-        engine_factory,
+    return run_algorithm(
+        ALG1,
+        coerce_graph(graph),
+        params or EdgeColoringParams(),
         seed=seed,
-        max_supersteps=max_supersteps,
-        strict=params.strict,
         faults=faults,
+        transport=transport,
         tracer=tracer,
         telemetry=telemetry,
         profiler=profiler,
-        fastpath=compute != "general",
+        check_consistency=check_consistency,
+        compute=compute,
         monitors=monitors,
         publisher=publisher,
-    )
-    run = engine.run()
-    if not run.completed:
-        raise ConvergenceError(
-            f"edge coloring did not terminate within {budget_rounds} rounds "
-            f"(n={graph.num_nodes}, Δ={delta}, seed={seed})",
-            rounds=budget_rounds,
-        )
-    if transport_cfg is not None:
-        collect_transport_stats(run.programs).fold_into(run.metrics)
-    programs = _unwrap_programs(run)
-    supersteps = _application_supersteps(run, transport_cfg is not None)
-
-    colors = _collect_edge_colors(programs, inverse, check_consistency)
-    palette = sorted(set(colors.values()))
-    return EdgeColoringResult(
-        colors=colors,
-        rounds=math.ceil(supersteps / PHASES_PER_ROUND),
-        supersteps=supersteps,
-        metrics=run.metrics,
-        seed=seed,
-        delta=delta,
-        palette=palette,
-        crashed=frozenset(inverse[u] for u in run.crashed),
+        shards=shards,
+        spill_dir=spill_dir,
     )
 
 
@@ -723,9 +575,8 @@ def _collect_edge_colors(
     check_consistency: bool,
 ) -> Dict[Edge, Color]:
     """Merge per-node edge colors, checking endpoint agreement."""
-    programs = _unwrap_programs(programs)
     colors: Dict[Edge, Color] = {}
-    for program in programs:
+    for program in getattr(programs, "programs", programs):
         assert isinstance(program, EdgeColoringProgram)
         u = program.node_id
         for v, c in program.edge_colors.items():
@@ -738,3 +589,30 @@ def _collect_edge_colors(
                     f"endpoints of edge {edge} disagree: {previous} vs {c}"
                 )
     return colors
+
+
+def _make_program(
+    node_id: int, work: Graph, params: EdgeColoringParams
+) -> EdgeColoringProgram:
+    return EdgeColoringProgram(
+        node_id,
+        p_invite=params.p_invite,
+        defensive=params.defensive,
+        recovery=params.recovery,
+        presume_dead_after=params.presume_dead_after,
+        color_strategy=params.color_strategy,
+        responder_strategy=params.responder_strategy,
+    )
+
+
+#: Algorithm 1 on the shared run path (:mod:`repro.core.batched`).
+ALG1 = AlgorithmRow(
+    name="alg1",
+    noun="edge coloring",
+    default_rounds=default_round_budget,
+    program=_make_program,
+    kernel_params=("p_invite", "color_strategy", "responder_strategy"),
+    collect=_collect_edge_colors,
+    arcs=False,
+    result=EdgeColoringResult,
+)

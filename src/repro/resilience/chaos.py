@@ -36,11 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.edge_coloring import (
-    EdgeColoringParams,
-    color_edges,
-    default_round_budget,
-)
+from repro.core.edge_coloring import EdgeColoringParams, color_edges
 from repro.errors import ConfigurationError
 from repro.graphs.adjacency import Graph
 from repro.graphs.generators import (
@@ -421,12 +417,7 @@ def chaos_campaign(
         )
     n = graph.num_nodes
     delta = max((graph.degree(u) for u in graph.nodes()), default=0)
-    round_budget = (
-        config.round_budget
-        if config.round_budget is not None
-        else default_round_budget(delta)
-    )
-    params = EdgeColoringParams(recovery=True, max_rounds=round_budget)
+    params = EdgeColoringParams(recovery=True, max_rounds=config.round_budget)
 
     rng = random.Random(config.seed)
     baseline_seed = rng.randrange(2**31)
@@ -482,7 +473,7 @@ def chaos_campaign(
             # but never let one run eat more than the leftover budget
             # (plus a floor so the first run gets a fair shot).
             wall_clock_budget=max(5.0, remaining) if remaining is not None else None,
-            round_budget=round_budget,
+            round_budget=config.round_budget,
         )
         t_run = time.monotonic()
         monitor_violation: Optional[str] = None

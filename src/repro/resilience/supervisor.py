@@ -32,20 +32,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Union
 
-from repro.core._coerce import coerce_graph, relabel_for_engine
-from repro.core.edge_coloring import (
-    PHASES_PER_ROUND,
-    EdgeColoringParams,
-    EdgeColoringProgram,
-    _application_supersteps,
-    _collect_edge_colors,
-    _resolve_transport,
-    _unwrap_programs,
-    default_round_budget,
-)
+from repro.core._coerce import coerce_graph
+from repro.core.batched import prepare_run
+from repro.core.edge_coloring import ALG1, EdgeColoringParams
+from repro.core.states import PHASES_PER_ROUND
 from repro.errors import ConfigurationError
 from repro.graphs.adjacency import Graph
 from repro.resilience.checkpoint import (
@@ -56,11 +49,7 @@ from repro.resilience.checkpoint import (
 from repro.runtime.engine import SynchronousEngine
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.observe import AutomatonTelemetry
-from repro.runtime.transport import (
-    TransportConfig,
-    collect_transport_stats,
-    with_reliable_transport,
-)
+from repro.runtime.transport import TransportConfig
 from repro.types import Color, Edge
 from repro.verify.partial import check_partial_edge_coloring
 
@@ -208,57 +197,23 @@ def supervise_edge_coloring(
     """
     policy = policy or SupervisionPolicy()
     params = params or EdgeColoringParams()
-    graph = coerce_graph(graph)
-    work, mapping = relabel_for_engine(graph)
-    inverse = {new: old for old, new in mapping.items()}
-    delta = max((work.degree(u) for u in work), default=0)
-
-    budget_rounds = (
-        policy.round_budget
-        if policy.round_budget is not None
-        else (
-            params.max_rounds
-            if params.max_rounds is not None
-            else default_round_budget(delta)
-        )
-    )
-
-    transport_cfg = _resolve_transport(transport)
+    if policy.round_budget is not None:
+        params = replace(params, max_rounds=policy.round_budget)
     if transport is True and policy.transport_jitter:
         # The bare default config keeps jitter off for bit-compat with
         # unsupervised runs; a supervised run opts into decorrelation.
-        transport_cfg = TransportConfig(
+        transport = TransportConfig(
             jitter=policy.transport_jitter, jitter_seed=seed
         )
-
-    def factory(node_id: int) -> EdgeColoringProgram:
-        return EdgeColoringProgram(
-            node_id,
-            p_invite=params.p_invite,
-            defensive=params.defensive,
-            recovery=params.recovery,
-            presume_dead_after=params.presume_dead_after,
-            color_strategy=params.color_strategy,
-            responder_strategy=params.responder_strategy,
-        )
-
-    engine_factory = (
-        with_reliable_transport(factory, transport_cfg)
-        if transport_cfg is not None
-        else factory
-    )
+    graph = coerce_graph(graph)
+    setup = prepare_run(ALG1, graph, params, transport)
 
     # Convert the round-denominated policy into raw engine supersteps.
     # Under a transport each algorithm superstep costs several pulses
-    # plus a detection margin; supersteps_budget already encodes that
+    # plus a detection margin; the setup's budget already encodes that
     # stretch, so scale every window by the same total/app ratio.
-    app_budget = budget_rounds * PHASES_PER_ROUND
-    total_limit = (
-        transport_cfg.supersteps_budget(app_budget)
-        if transport_cfg is not None
-        else app_budget
-    )
-    ratio = total_limit / app_budget
+    total_limit = setup.max_supersteps
+    ratio = total_limit / (setup.rounds * PHASES_PER_ROUND)
     to_engine = lambda rounds: max(
         PHASES_PER_ROUND, math.ceil(rounds * PHASES_PER_ROUND * ratio)
     )
@@ -278,8 +233,8 @@ def supervise_edge_coloring(
     started = time.monotonic()
     limit = min(total_limit, slice_supersteps)
     engine = SynchronousEngine(
-        work,
-        engine_factory,
+        setup.work,
+        setup.factory,
         seed=seed,
         max_supersteps=limit,
         strict=params.strict,
@@ -339,7 +294,7 @@ def supervise_edge_coloring(
         limit = min(total_limit, limit + slice_supersteps)
         engine = resume_engine(
             checkpoint,
-            work,
+            setup.work,
             max_supersteps=limit,
             tracer=tracer,
             checkpointer=checkpointer,
@@ -349,17 +304,11 @@ def supervise_edge_coloring(
         legs += 1
 
     telemetry = engine.telemetry
-    if transport_cfg is not None:
-        collect_transport_stats(run.programs).fold_into(run.metrics)
-    programs = _unwrap_programs(run)
-    supersteps = _application_supersteps(run, transport_cfg is not None)
-
     completed = outcome == "completed"
     # Degraded (and faulty) runs legitimately leave endpoints
     # half-agreed, so collection never raises; the partial checker
     # below is the arbiter of what survived.
-    colors = _collect_edge_colors(programs, inverse, check_consistency=False)
-    crashed = frozenset(inverse[u] for u in run.crashed)
+    colors, supersteps, crashed = setup.collect(run, check_consistency=False)
     violations = check_partial_edge_coloring(
         graph, colors, crashed, complete=completed
     )
@@ -377,7 +326,7 @@ def supervise_edge_coloring(
         supersteps=supersteps,
         metrics=run.metrics,
         seed=seed,
-        delta=delta,
+        delta=setup.delta,
         crashed=crashed,
         violations=violations,
         colored_fraction=fraction,

@@ -49,15 +49,15 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.dima2ed import (
+    DIMA2ED,
     DiMa2EdProgram,
     StrongColoringParams,
-    _collect_arc_colors,
     default_strong_round_budget,
 )
 from repro.core.edge_coloring import (
+    ALG1,
     EdgeColoringParams,
     EdgeColoringProgram,
-    _collect_edge_colors,
     default_round_budget,
 )
 from repro.core.states import PHASES_PER_ROUND
@@ -258,7 +258,7 @@ def incremental_edge_colors(
     )
     run = _run_localized(sub, factory, seed=seed, budget_rounds=budget)
     inverse = {i: u for u, i in index.items()}
-    fresh = _collect_edge_colors(run, inverse, True)
+    fresh = ALG1.collect(run, inverse, True)
     return IncrementalOutcome(
         colors=fresh,
         rounds=math.ceil(run.supersteps / PHASES_PER_ROUND),
@@ -369,7 +369,7 @@ def incremental_arc_colors(
     )
     run = _run_localized(sub, factory, seed=seed, budget_rounds=budget)
     inverse = {i: u for u, i in index.items()}
-    fresh = _collect_arc_colors(run, inverse, True)
+    fresh = DIMA2ED.collect(run, inverse, True)
     return IncrementalOutcome(
         colors=fresh,
         rounds=math.ceil(run.supersteps / PHASES_PER_ROUND),

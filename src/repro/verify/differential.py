@@ -26,20 +26,23 @@ diverging superstep** is recovered.
 
 Comparable field sets differ by tier:
 
-=========  ========  ==========  =============  ==========
-field      fastpath  vectorized  async          notes
-=========  ========  ==========  =============  ==========
-colors     yes       yes         yes            exact dict
-rounds     yes       yes         yes
-supersteps yes       yes         yes (pulses)
-metrics    all       all         all but        scalar
-                                 ``supersteps``  counters
-telemetry  yes       yes         —              async runs
-                                                untelemetered
-=========  ========  ==========  =============  ==========
+==========  ========  ==========  =============  ==========
+field       fastpath  vectorized  async          notes
+==========  ========  ==========  =============  ==========
+colors      yes       yes         yes            exact dict
+rounds      yes       yes         yes
+supersteps  yes       yes         yes (pulses)
+metrics     all       all         all but        every
+                                  ``supersteps``  ``as_dict``
+                                                 counter
+live nodes  yes       yes         —              per-superstep
+                                                 trace
+telemetry   yes       yes         —              async runs
+                                                 untelemetered
+==========  ========  ==========  =============  ==========
 
 ``sharded`` compares on the same field set as ``vectorized`` (all
-scalar counters plus full telemetry).
+scalar counters, the live-node trace and full telemetry).
 
 The ``sharded`` tier needs a writable spill directory for its
 memmapped shards; it is reported as *skipped* (never silently dropped)
@@ -53,23 +56,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core._coerce import coerce_graph, relabel_for_engine
-from repro.core.dima2ed import (
-    DiMa2EdProgram,
-    _collect_arc_colors,
-    default_strong_round_budget,
-    strong_color_arcs,
-)
-from repro.core.edge_coloring import (
-    EdgeColoringProgram,
-    _collect_edge_colors,
-    color_edges,
-    default_round_budget,
-)
+from repro.core._coerce import coerce_graph
+from repro.core.batched import prepare_run
+from repro.core.dima2ed import DIMA2ED, StrongColoringParams, strong_color_arcs
+from repro.core.edge_coloring import ALG1, EdgeColoringParams, color_edges
 from repro.core.states import PHASES_PER_ROUND
 from repro.errors import ConfigurationError
 from repro.graphs.adjacency import Graph
 from repro.runtime.async_engine import AsyncEngine
+from repro.runtime.metrics import RunMetrics
 from repro.runtime.observe import AutomatonTelemetry
 
 __all__ = [
@@ -102,17 +97,9 @@ _WRAPPER_TIERS: Dict[str, str] = {
     "sharded": "sharded",
 }
 
-#: Scalar counters compared across the synchronous tiers.
-_METRIC_FIELDS: Tuple[str, ...] = (
-    "supersteps",
-    "messages_sent",
-    "messages_delivered",
-    "messages_dropped",
-    "words_delivered",
-    "messages_discarded_halted",
-    "messages_lost_to_crash",
-    "messages_duplicated",
-)
+#: Scalar counters compared across the synchronous tiers: every key of
+#: :meth:`RunMetrics.as_dict`.
+_METRIC_FIELDS: Tuple[str, ...] = tuple(RunMetrics().as_dict())
 
 #: The async engine counts application traffic but not engine
 #: supersteps (its clock is pulses, compared separately).
@@ -135,6 +122,9 @@ class TierRun:
     state_histograms: Optional[List[Dict[str, int]]] = None
     #: Per-superstep cumulative done-node counts (None: no telemetry).
     done_per_superstep: Optional[List[int]] = None
+    #: ``metrics.live_nodes_per_superstep`` (None on the async tier,
+    #: whose clock is pulses, not engine supersteps).
+    live_nodes_per_superstep: Optional[List[int]] = None
 
     @property
     def digest(self) -> str:
@@ -202,7 +192,9 @@ class DiffReport:
         for tier, run in self.runs.items():
             lines.append(
                 f"  {tier:<9} rounds={run.rounds} supersteps={run.supersteps} "
-                f"colors={len(run.colors)} digest={run.digest[:12]}"
+                f"colored={len(run.colors)} "
+                f"palette={len(set(run.colors.values()))} "
+                f"digest={run.digest[:12]}"
             )
         for tier, reason in self.skipped.items():
             lines.append(f"  {tier:<9} SKIPPED: {reason}")
@@ -243,10 +235,6 @@ def available_tiers(tiers: Optional[Sequence[str]] = None) -> Tuple[List[str], D
             requested.remove("sharded")
             skipped["sharded"] = "no writable spill directory for shard memmaps"
     return requested, skipped
-
-
-def _alg1_factory(node_id: int) -> EdgeColoringProgram:
-    return EdgeColoringProgram(node_id)
 
 
 def run_tier(
@@ -295,44 +283,30 @@ def _run_wrapper_tier(tier: str, graph: Graph, algorithm: str, seed: int) -> Tie
         metrics=result.metrics.as_dict(),
         state_histograms=list(telemetry.state_histograms),
         done_per_superstep=list(telemetry.done_per_superstep),
+        live_nodes_per_superstep=list(result.metrics.live_nodes_per_superstep),
     )
 
 
-def _engine_setup(graph: Graph, algorithm: str):
-    """(work graph, inverse mapping, factory, superstep budget)."""
-    graph = coerce_graph(graph)
-    work, mapping = relabel_for_engine(graph)
-    inverse = {new: old for old, new in mapping.items()}
-    delta = max((work.degree(u) for u in work), default=0)
-    if algorithm == "alg1":
-        budget = default_round_budget(delta) * PHASES_PER_ROUND
-        return work, inverse, _alg1_factory, budget
-    digraph = work.to_directed()
-
-    def factory(node_id: int) -> DiMa2EdProgram:
-        return DiMa2EdProgram(
-            node_id,
-            out_neighbors=list(digraph.successors(node_id)),
-            in_neighbors=list(digraph.predecessors(node_id)),
-        )
-
-    return work, inverse, factory, default_strong_round_budget(delta) * PHASES_PER_ROUND
-
-
-def _collect(run, inverse, algorithm: str) -> Dict[tuple, int]:
-    if algorithm == "alg1":
-        return _collect_edge_colors(run, inverse, True)
-    return _collect_arc_colors(run, inverse, True)
+#: algorithm -> its run-path row and the paper's parameters.
+_ASYNC_RUNS = {
+    "alg1": (ALG1, EdgeColoringParams()),
+    "dima2ed": (DIMA2ED, StrongColoringParams()),
+}
 
 
 def _run_async_tier(graph: Graph, algorithm: str, seed: int, max_delay: int) -> TierRun:
-    work, inverse, factory, budget = _engine_setup(graph, algorithm)
+    row, params = _ASYNC_RUNS[algorithm]
+    setup = prepare_run(row, coerce_graph(graph), params)
     run = AsyncEngine(
-        work, factory, seed=seed, max_delay=max_delay, max_pulses=budget
+        setup.work,
+        setup.factory,
+        seed=seed,
+        max_delay=max_delay,
+        max_pulses=setup.max_supersteps,
     ).run()
     return TierRun(
         tier="async",
-        colors=_collect(run, inverse, algorithm),
+        colors=row.collect(run, setup.inverse, True),
         rounds=math.ceil(run.pulses / PHASES_PER_ROUND),
         supersteps=run.pulses,
         metrics=run.metrics.as_dict(),
@@ -405,6 +379,19 @@ def _diff_runs(base: TierRun, other: TierRun) -> List[Divergence]:
                 other.metrics.get(name),
                 superstep=pinned,
             )
+    live, base_live = other.live_nodes_per_superstep, base.live_nodes_per_superstep
+    if live is not None and base_live is not None and live != base_live:
+        # Name the first superstep whose live-node count differs.
+        step = next(
+            (i for i, (a, b) in enumerate(zip(base_live, live)) if a != b),
+            min(len(base_live), len(live)),
+        )
+        record(
+            "metrics.live_nodes_per_superstep",
+            base_live[step] if step < len(base_live) else None,
+            live[step] if step < len(live) else None,
+            superstep=step,
+        )
     if pinned is not None and not out:
         # Telemetry disagreed even though every end-of-run field agreed —
         # the runs took different paths to the same answer.  Still a

@@ -11,6 +11,7 @@ from repro.resilience import (
     supervise_edge_coloring,
 )
 from repro.runtime.faults import CrashNodes, DropRandomMessages
+from repro.runtime.transport import TransportConfig
 from repro.verify import check_proper_edge_coloring
 
 GRAPH = erdos_renyi_avg_degree(90, 5.0, seed=17)
@@ -52,6 +53,43 @@ class TestCleanRuns:
         assert sup.supersteps == base.supersteps
         assert sup.metrics.to_dict() == base.metrics.to_dict()
         assert sup.legs > 1  # the slicing actually happened
+
+    @pytest.mark.parametrize(
+        "transport, lossy",
+        [
+            (TransportConfig(), False),
+            (TransportConfig(jitter=0.25, jitter_seed=5), False),
+            (TransportConfig(), True),
+        ],
+        ids=["reliable", "jitter", "lossy"],
+    )
+    def test_matches_unsupervised_run_under_transport(self, transport, lossy):
+        # Pins the supervisor's transport arithmetic: the window stretch,
+        # pulse-counted supersteps and the transport-counter fold.
+        graph = erdos_renyi_avg_degree(60, 4.0, seed=17)
+        kwargs = dict(seed=5, transport=transport)
+        if lossy:
+            kwargs["params"] = EdgeColoringParams(recovery=True)
+        faults = lambda: DropRandomMessages(0.05, seed=3) if lossy else None
+        base = color_edges(
+            graph,
+            compute="pernode",
+            faults=faults(),
+            check_consistency=not lossy,
+            **kwargs,
+        )
+        sup = supervise_edge_coloring(
+            graph,
+            faults=faults(),
+            policy=SupervisionPolicy(slice_rounds=4),
+            **kwargs,
+        )
+        assert sup.completed
+        assert sup.colors == base.colors
+        assert sup.rounds == base.rounds
+        assert sup.supersteps == base.supersteps
+        assert sup.metrics.to_dict() == base.metrics.to_dict()
+        assert sup.legs > 1
 
     def test_single_slice_when_budget_generous(self):
         sup = supervise_edge_coloring(

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.graphs.generators import cycle_graph, path_graph
 from repro.verify.differential import (
     TIERS,
+    DiffReport,
     Divergence,
     TierRun,
     _diff_runs,
@@ -64,6 +65,23 @@ class TestFieldDiffing:
         divs = _diff_runs(make_run(), make_run(tier="vectorized", metrics=metrics))
         assert [d.field for d in divs] == ["metrics.messages_sent"]
 
+    def test_every_as_dict_counter_compared(self):
+        # Transport counters included, though make_run leaves them out.
+        metrics = dict(make_run().metrics, retransmissions=3)
+        divs = _diff_runs(make_run(), make_run(tier="vectorized", metrics=metrics))
+        assert [d.field for d in divs] == ["metrics.retransmissions"]
+        divs = _diff_runs(make_run(), make_run(tier="async", metrics=metrics))
+        assert [d.field for d in divs] == ["metrics.retransmissions"]
+
+    def test_live_node_trace_pins_first_differing_superstep(self):
+        base = make_run(live_nodes_per_superstep=[3, 3, 2])
+        other = make_run(tier="sharded", live_nodes_per_superstep=[3, 2, 2])
+        (div,) = _diff_runs(base, other)
+        assert div.field == "metrics.live_nodes_per_superstep"
+        assert (div.baseline_value, div.value, div.superstep) == (3, 2, 1)
+        # The async tier records no live-node trace, so it is not compared.
+        assert _diff_runs(base, make_run(tier="async")) == []
+
     def test_async_ignores_engine_superstep_counter(self):
         metrics = dict(make_run().metrics, supersteps=0)
         assert _diff_runs(make_run(), make_run(tier="async", metrics=metrics)) == []
@@ -106,6 +124,15 @@ class TestFieldDiffing:
             supersteps=8,
         )
         assert _first_telemetry_divergence(make_run(), other) == 2
+
+
+class TestSummary:
+    def test_counts_colored_edges_and_palette_apart(self):
+        report = DiffReport(algorithm="alg1", seed=7, num_nodes=3, num_edges=2)
+        report.runs["general"] = make_run(colors={(0, 1): 0, (1, 2): 0})
+        line = report.summary().splitlines()[1]
+        assert "colored=2 palette=1 " in line
+        assert "colors=" not in line
 
 
 class TestDigest:
