@@ -1,22 +1,28 @@
 #!/usr/bin/env python
-"""Coloring-service load benchmark: requests/s and mutation latency.
+"""Coloring-service load benchmark: mutation latency against session size.
 
 Starts a real :class:`repro.serve.server.ColoringServer` (asyncio, TCP
-loopback) on a background thread, creates one session per algorithm
-from an Erdős–Rényi base graph, and drives a deterministic load mix
-through the blocking :class:`~repro.serve.protocol.ServeClient`:
+loopback) on a background thread and, for each algorithm and each
+session size, creates one session from an Erdős–Rényi graph of average
+degree 4 and drives a deterministic load mix through the blocking
+:class:`~repro.serve.protocol.ServeClient`:
 
-* ``mutate`` batches — mostly single-edge insertions (the incremental
-  path), some removals and small mixed batches;
+* ``mutate`` batches of one edge — mostly insertions (the incremental
+  path), some removals;
 * ``color`` point queries against edges known to exist.
 
-Reported per algorithm: requests/s over the whole run, p50/p95/p99
-latency per op class, the incremental hit ratio, and the fallback
-count.  ``--check`` gates (smoke-calibrated, loopback):
+The sizes sweep the session from about 10³ to 10⁵ edges (smoke: 10³
+and 10⁴) at the same batch size, so the report shows whether a
+mutation costs time proportional to the batch or to the session.
+Reported per algorithm and size: requests/s, p50/p95/p99 latency per op
+class, the incremental hit ratio, and the fallback count.  ``--check``
+gates (loopback):
 
-* p99 mutate latency under ``--p99-gate`` seconds (default 2.0 — a
-  localized rerun is milliseconds; only a pathological regression to
-  whole-graph reruns on every batch breaches seconds),
+* p99 mutate latency under ``--p99-gate`` seconds at every size
+  (default 2.0 — a localized rerun is milliseconds; only a pathological
+  regression to whole-graph reruns on every batch breaches seconds),
+* p50 mutate latency at the largest size at most
+  ``P50_GROWTH_GATE`` (2x) the p50 at the smallest, per algorithm,
 * zero properness violations (every batch ran under server-side
   verification),
 * incremental hit ratio ≥ 0.9 on single-insert batches.
@@ -54,6 +60,12 @@ from benchlib import append_bench_history, host_fingerprint  # noqa: E402
 DEFAULT_OUT = REPO_ROOT / "benchmarks" / "out" / "BENCH_serve.json"
 GRAPH_SEED = 11
 LOAD_SEED = 5
+#: Session sizes in edges; the graphs have average degree AVG_DEGREE.
+SIZES = (10**3, 10**4, 10**5)
+SMOKE_SIZES = (10**3, 10**4)
+AVG_DEGREE = 4.0
+#: --check: p50 mutate latency at the largest size over the smallest.
+P50_GROWTH_GATE = 2.0
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:
@@ -79,12 +91,12 @@ def _drive(
     name: str,
     algorithm: str,
     *,
-    n: int,
-    avg_degree: float,
+    edges_target: int,
     requests: int,
     rng: random.Random,
 ) -> Dict[str, Any]:
-    base = erdos_renyi_avg_degree(n, avg_degree, seed=GRAPH_SEED)
+    n = round(2 * edges_target / AVG_DEGREE)
+    base = erdos_renyi_avg_degree(n, AVG_DEGREE, seed=GRAPH_SEED)
     client.request(
         "create",
         name=name,
@@ -94,7 +106,7 @@ def _drive(
         num_nodes=base.num_nodes,
     )
     edges = list(base.edge_list())
-    next_node = base.num_nodes
+    present = set(edges)
     mutate_lat: List[float] = []
     query_lat: List[float] = []
     single_attempts = 0
@@ -102,14 +114,13 @@ def _drive(
     fallbacks = 0
     violations = 0
     t_start = time.perf_counter()
-    for i in range(requests):
+    for _ in range(requests):
         roll = rng.random()
         if roll < 0.55:
             # Single-edge insertion (retry a few times for a non-edge).
-            present = set(edges)
             pair = None
             for _ in range(30):
-                u, v = rng.sample(range(next_node), 2)
+                u, v = rng.sample(range(n), 2)
                 if (min(u, v), max(u, v)) not in present:
                     pair = (u, v)
                     break
@@ -123,13 +134,17 @@ def _drive(
             )["outcome"]
             mutate_lat.append(time.perf_counter() - t0)
             edges.append((min(pair), max(pair)))
+            present.add(edges[-1])
             single_attempts += 1
             if out["incremental"] and not out["fallback"]:
                 single_hits += 1
             fallbacks += out["fallback"]
             violations += len(out["violations"])
         elif roll < 0.7 and len(edges) > n // 2:
-            u, v = edges.pop(rng.randrange(len(edges)))
+            i = rng.randrange(len(edges))
+            edges[i], edges[-1] = edges[-1], edges[i]
+            u, v = edges.pop()
+            present.discard((u, v))
             t0 = time.perf_counter()
             out = client.request(
                 "mutate",
@@ -145,10 +160,12 @@ def _drive(
             client.request("color", name=name, u=u, v=v)
             query_lat.append(time.perf_counter() - t0)
     wall_s = time.perf_counter() - t_start
+    client.request("drop", name=name)
     total = len(mutate_lat) + len(query_lat)
     return {
         "algorithm": algorithm,
         "nodes": n,
+        "edges": base.num_edges,
         "requests": total,
         "wall_s": round(wall_s, 6),
         "requests_per_s": round(total / wall_s, 1) if wall_s else 0.0,
@@ -176,7 +193,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--requests", type=int, default=None,
-        help="requests per algorithm (default: 600, smoke: 150)",
+        help="requests per algorithm and size (default: 600, smoke: 150)",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     parser.add_argument(
@@ -185,7 +202,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    n = 150 if args.smoke else 600
+    sizes = SMOKE_SIZES if args.smoke else SIZES
     requests = args.requests or (150 if args.smoke else 600)
     rng = random.Random(LOAD_SEED)
     registry = MetricsRegistry()
@@ -195,31 +212,45 @@ def main(argv=None) -> int:
         "benchmark": "serve",
         "smoke": args.smoke,
         "host": host_fingerprint(),
+        "avg_degree": AVG_DEGREE,
+        "requests_per_size": requests,
         "algorithms": {},
     }
     with ServerThread(server) as srv:
         with ServeClient(srv.host, srv.port, timeout=120.0) as client:
             for algorithm in ("alg1", "dima2ed"):
-                report["algorithms"][algorithm] = _drive(
-                    client,
-                    f"bench-{algorithm}",
-                    algorithm,
-                    n=n,
-                    avg_degree=4.0,
-                    requests=requests,
-                    rng=rng,
-                )
+                rows = [
+                    _drive(
+                        client,
+                        f"bench-{algorithm}",
+                        algorithm,
+                        edges_target=size,
+                        requests=requests,
+                        rng=rng,
+                    )
+                    for size in sizes
+                ]
+                smallest = rows[0]["mutate"]["p50_s"]
+                report["algorithms"][algorithm] = {
+                    "sizes": rows,
+                    "p50_growth": (
+                        round(rows[-1]["mutate"]["p50_s"] / smallest, 3)
+                        if smallest else None
+                    ),
+                }
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True))
-    for algorithm, row in report["algorithms"].items():
-        print(
-            f"serve[{algorithm}]: {row['requests']} requests at "
-            f"{row['requests_per_s']}/s; mutate p50 "
-            f"{row['mutate']['p50_s'] * 1e3:.2f}ms p99 "
-            f"{row['mutate']['p99_s'] * 1e3:.2f}ms; hit ratio "
-            f"{row['single_insert_hit_ratio']}; fallbacks {row['fallbacks']}"
-        )
+    for algorithm, sweep in report["algorithms"].items():
+        for row in sweep["sizes"]:
+            print(
+                f"serve[{algorithm}, {row['edges']} edges]: {row['requests']} "
+                f"requests at {row['requests_per_s']}/s; mutate p50 "
+                f"{row['mutate']['p50_s'] * 1e3:.2f}ms p99 "
+                f"{row['mutate']['p99_s'] * 1e3:.2f}ms; hit ratio "
+                f"{row['single_insert_hit_ratio']}; fallbacks {row['fallbacks']}"
+            )
+        print(f"serve[{algorithm}]: p50 growth {sweep['p50_growth']}x")
     print(f"report written to {args.out}")
 
     if not args.no_history:
@@ -229,34 +260,46 @@ def main(argv=None) -> int:
             "recorded": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "host": report["host"],
             "workloads": {
-                alg: {
+                f"{alg}-e{row['edges']}": {
                     "serve": {
                         "wall_s": row["wall_s"],
                         "requests_per_s": row["requests_per_s"],
+                        "mutate_p50_s": row["mutate"]["p50_s"],
                         "mutate_p99_s": row["mutate"]["p99_s"],
                     }
                 }
-                for alg, row in report["algorithms"].items()
+                for alg, sweep in report["algorithms"].items()
+                for row in sweep["sizes"]
             },
         }
         append_bench_history(entry)
 
     if args.check:
         failures = []
-        for algorithm, row in report["algorithms"].items():
-            if row["violations"]:
+        for algorithm, sweep in report["algorithms"].items():
+            for row in sweep["sizes"]:
+                where = f"{algorithm} at {row['edges']} edges"
+                if row["violations"]:
+                    failures.append(
+                        f"{where}: {row['violations']} properness violations"
+                    )
+                if row["mutate"]["p99_s"] > args.p99_gate:
+                    failures.append(
+                        f"{where}: mutate p99 {row['mutate']['p99_s']}s "
+                        f"exceeds gate {args.p99_gate}s"
+                    )
+                ratio = row["single_insert_hit_ratio"]
+                if ratio is not None and ratio < 0.9:
+                    failures.append(
+                        f"{where}: incremental hit ratio {ratio} < 0.9"
+                    )
+            growth = sweep["p50_growth"]
+            if growth is not None and growth > P50_GROWTH_GATE:
                 failures.append(
-                    f"{algorithm}: {row['violations']} properness violations"
-                )
-            if row["mutate"]["p99_s"] > args.p99_gate:
-                failures.append(
-                    f"{algorithm}: mutate p99 {row['mutate']['p99_s']}s "
-                    f"exceeds gate {args.p99_gate}s"
-                )
-            ratio = row["single_insert_hit_ratio"]
-            if ratio is not None and ratio < 0.9:
-                failures.append(
-                    f"{algorithm}: incremental hit ratio {ratio} < 0.9"
+                    f"{algorithm}: mutate p50 grew {growth}x from "
+                    f"{sweep['sizes'][0]['edges']} to "
+                    f"{sweep['sizes'][-1]['edges']} edges "
+                    f"(gate {P50_GROWTH_GATE}x)"
                 )
         if failures:
             for failure in failures:

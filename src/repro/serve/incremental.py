@@ -31,10 +31,13 @@ Soundness of the localized view:
   with every arc with tail ``v`` (and symmetrically), so equal-channel
   pairs among them are detected up front and the edges carrying the
   losing arcs join the rerun set, to be recolored alongside the new
-  edges.  Conflicts between two rerun arcs that are distance-2-adjacent
-  only through a vertex outside the subgraph can still escape the
-  localized run; the session layer's post-batch strong-coloring check
-  catches those and triggers the full fallback rerun.
+  edges.  The losers' stale channels are masked by a dropped-key
+  overlay, never by copying the coloring, so the work stays
+  proportional to the batch.  Conflicts between two rerun arcs that are
+  distance-2-adjacent only through a vertex outside the subgraph can
+  still escape the localized run; the session layer's post-batch
+  strong-coloring check catches those and triggers the full fallback
+  rerun.
 
 Non-convergence within the localized round budget raises
 :class:`FallbackRequired`; callers answer with a full
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.dima2ed import (
     DIMA2ED,
@@ -61,6 +64,7 @@ from repro.core.edge_coloring import (
     default_round_budget,
 )
 from repro.core.states import PHASES_PER_ROUND
+from repro.errors import ConfigurationError
 from repro.graphs.adjacency import Graph
 from repro.runtime.engine import SynchronousEngine
 from repro.types import Arc, Color, Edge, canonical_edge
@@ -186,6 +190,15 @@ def _conflict_subgraph(
     return sub, affected, index
 
 
+def _check_budget(params) -> None:
+    """The run path's check on the round budget: ``params.max_rounds``
+    below 1 is a :class:`ConfigurationError` (the defaults never are)."""
+    if params.max_rounds is not None and params.max_rounds < 1:
+        raise ConfigurationError(
+            f"max_rounds must be >= 1, got {params.max_rounds}"
+        )
+
+
 def _run_localized(sub: Graph, factory, *, seed: int, budget_rounds: int):
     engine = SynchronousEngine(
         sub,
@@ -216,9 +229,12 @@ def incremental_edge_colors(
     ``graph`` is the post-mutation graph (new edges already inserted),
     ``colors`` its proper-but-partial coloring (exactly the new edges
     uncolored).  Returns the colors for the new edges only; raises
-    :class:`FallbackRequired` when the localized run does not converge.
+    :class:`FallbackRequired` when the localized run does not converge
+    and :class:`~repro.errors.ConfigurationError` when
+    ``params.max_rounds`` is below 1.
     """
     params = params if params is not None else EdgeColoringParams()
+    _check_budget(params)
     sub, affected, index = _conflict_subgraph(new_edges)
     if not sub.num_edges:
         return IncrementalOutcome({}, 0, 0, 0, 0)
@@ -268,8 +284,30 @@ def incremental_edge_colors(
     )
 
 
+class _Dropped:
+    """``colors`` read as if the keys in ``dropped`` were absent.
+
+    The invalidation step drops stale channels through :meth:`pop`,
+    which records the key and leaves ``colors`` itself untouched, so
+    masking a handful of arcs costs a handful of set inserts instead of
+    a copy of the whole coloring.
+    """
+
+    __slots__ = ("colors", "dropped")
+
+    def __init__(self, colors: Dict[Arc, Color]) -> None:
+        self.colors = colors
+        self.dropped: Set[Arc] = set()
+
+    def get(self, key: Arc) -> Optional[Color]:
+        return None if key in self.dropped else self.colors.get(key)
+
+    def pop(self, key: Arc) -> None:
+        self.dropped.add(key)
+
+
 def _invalidated_by_insertion(
-    graph: Graph, working: Dict[Arc, Color], new_edges: Iterable[Edge]
+    graph: Graph, working: _Dropped, new_edges: Iterable[Edge]
 ) -> List[Edge]:
     """Old edges whose arcs the insertions put into conflict.
 
@@ -300,8 +338,8 @@ def _invalidated_by_insertion(
                 if c is not None and c in incoming:
                     edge = canonical_edge(tail_end, y)
                     invalidated.append(edge)
-                    working.pop((tail_end, y), None)
-                    working.pop((y, tail_end), None)
+                    working.pop((tail_end, y))
+                    working.pop((y, tail_end))
     return invalidated
 
 
@@ -321,10 +359,14 @@ def incremental_arc_colors(
     directions).  Returns channels for both arcs of every rerun edge —
     the new edges plus any old edges the insertions invalidated (their
     returned channels *replace* the stale entries; see
-    :func:`_invalidated_by_insertion`).
+    :func:`_invalidated_by_insertion`).  ``arc_colors`` is only read.
+    Raises :class:`FallbackRequired` and
+    :class:`~repro.errors.ConfigurationError` as
+    :func:`incremental_edge_colors` does.
     """
     params = params if params is not None else StrongColoringParams()
-    working = dict(arc_colors)
+    _check_budget(params)
+    working = _Dropped(arc_colors)
     rerun = list({canonical_edge(u, v) for u, v in new_edges})
     rerun += _invalidated_by_insertion(graph, working, rerun)
     sub, affected, index = _conflict_subgraph(rerun)

@@ -12,7 +12,9 @@ also what the unit tests exercise directly, sockets not required.
 
 Observability rides the same rails as the engines: pass a
 :class:`~repro.obs.registry.MetricsRegistry` to meter requests,
-mutations, incremental/fallback batches and live sessions, and a
+mutations, incremental/fallback batches, live sessions and the seconds
+each batch spends staging, recoloring and verifying (plus each save's
+persist time), and a
 :class:`~repro.obs.live.SnapshotPublisher` to feed ``repro top`` (the
 cumulative request count is published as ``messages_sent`` so the
 dashboard's rate row doubles as requests/s).
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 from typing import Any, Dict, Optional
 
 from repro.errors import ProtocolError, ReproError, ServeError
@@ -33,6 +36,10 @@ from repro.serve import protocol
 from repro.serve.session import SessionManager
 
 __all__ = ["ColoringServer", "ServerThread", "run_server"]
+
+#: Bucket bounds of ``repro_serve_phase_seconds``: a batch phase takes
+#: from tens of microseconds (staging) to seconds (a full rerun).
+_PHASE_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1.0, 5.0, 30.0)
 
 
 class ColoringServer:
@@ -78,6 +85,13 @@ class ColoringServer:
             )
             self._m_sessions = registry.gauge(
                 "repro_serve_sessions", "Live sessions"
+            )
+            self._m_phase = registry.histogram(
+                "repro_serve_phase_seconds",
+                "Seconds per mutation-batch phase (stage, recolor, verify) "
+                "and per save (persist)",
+                ("phase",),
+                buckets=_PHASE_BUCKETS,
             )
 
     # -- synchronous request core ---------------------------------------
@@ -212,6 +226,9 @@ class ColoringServer:
             self._m_batches.add(1, path=path)
             if outcome.violations:
                 self._m_healed.add(len(outcome.violations))
+            self._m_phase.observe_labels(outcome.stage_s, phase="stage")
+            self._m_phase.observe_labels(outcome.recolor_s, phase="recolor")
+            self._m_phase.observe_labels(outcome.verify_s, phase="verify")
         return {"outcome": outcome.to_dict()}
 
     def _op_color(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -240,7 +257,11 @@ class ColoringServer:
         }
 
     def _op_save(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {"written": self.manager.save()}
+        t0 = time.perf_counter()
+        written = self.manager.save()
+        if self.registry is not None:
+            self._m_phase.observe_labels(time.perf_counter() - t0, phase="persist")
+        return {"written": written}
 
     def _op_shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
         if self._shutdown is not None:

@@ -7,9 +7,13 @@ incremental path of :mod:`repro.serve.incremental`, falling back to a
 full :func:`~repro.core.edge_coloring.color_edges` /
 :func:`~repro.core.dima2ed.strong_color_arcs` rerun whenever the
 localized run fails to converge or the post-batch properness check
-finds a violation.  Every batch is **atomic**: mutations are applied to
-a working copy and committed only after the whole batch validates, so a
-bad mutation mid-batch leaves the session untouched.
+finds a violation.  Every batch is **atomic**: mutations are applied in
+place with an undo log, and a bad mutation mid-batch replays the log
+backwards, so the session is left untouched.  Both the staging and the
+post-batch check of an incremental recolor cost time proportional to
+the batch, not the session: the check covers only the neighbourhood
+the batch recolored (see ``docs/serving.md``, "Verification is
+local").
 
 The :class:`SessionManager` adds the namespace (create/get/drop),
 aggregate statistics, and JSON persistence under a state directory so
@@ -24,15 +28,17 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.dima2ed import strong_color_arcs
 from repro.core.edge_coloring import color_edges
 from repro.errors import ConvergenceError, ServeError, VerificationError
-from repro.graphs.adjacency import Graph
+from repro.graphs.adjacency import DiGraph, Graph
 from repro.serve.incremental import (
     FallbackRequired,
+    IncrementalOutcome,
     incremental_arc_colors,
     incremental_edge_colors,
 )
@@ -130,6 +136,13 @@ class BatchOutcome:
     #: batch never commits a violating coloring.
     violations: List[str] = field(default_factory=list)
     wall_s: float = 0.0
+    #: Seconds spent per phase: staging the mutations, recoloring
+    #: (localized and full reruns) and verifying.  Not part of
+    #: :meth:`to_dict`; the server exports them as
+    #: ``repro_serve_phase_seconds{phase}``.
+    stage_s: float = 0.0
+    recolor_s: float = 0.0
+    verify_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -242,15 +255,15 @@ class ColoringSession:
         batch itself builds up.
         """
         t0 = time.perf_counter()
-        work, colors, new_edges, removed = self._stage(mutations)
-        # Staged cleanly: commit, then recolor what the batch uncolored.
-        self.graph = work
-        self.colors = colors
+        new_edges, removed = self._stage(mutations)
+        staged = time.perf_counter()
+        # Staged cleanly: the batch is committed; recolor what it uncolored.
         batch_seed = self.seed + _BATCH_SEED_STRIDE * (self.batches + 1)
         self.batches += 1
         outcome = self._recolor(sorted(new_edges), batch_seed)
         outcome.applied = len(mutations)
         outcome.removed_edges = removed
+        outcome.stage_s = staged - t0
         self.stats["mutations"] += len(mutations)
         self.stats["batches"] += 1
         if outcome.incremental:
@@ -261,51 +274,107 @@ class ColoringSession:
         outcome.wall_s = time.perf_counter() - t0
         return outcome
 
-    def _stage(self, mutations: List[Mutation]):
-        """Validate and apply ``mutations`` to copies of graph+colors."""
-        work = self.graph.copy()
-        colors = dict(self.colors)
-        new_edges: set = set()
-        removed = 0
-        arcs = self.algorithm == "dima2ed"
-        for m in mutations:
-            if m.op == "add_vertex":
-                work.add_node(m.u)
-            elif m.op == "remove_vertex":
-                if not work.has_node(m.u):
-                    raise ServeError(f"vertex {m.u} is not in session {self.name!r}")
-                for u, v in work.incident_edges(m.u):
-                    self._drop_color(colors, u, v, arcs)
-                    new_edges.discard(canonical_edge(u, v))
-                    removed += 1
-                work.remove_node(m.u)
-            elif m.op == "add_edge":
-                if m.u == m.v:
-                    raise ServeError(f"self-loop ({m.u}, {m.v}) cannot be colored")
-                if not work.has_edge(m.u, m.v):
-                    work.add_edge(m.u, m.v)
-                    new_edges.add(canonical_edge(m.u, m.v))
-            elif m.op == "remove_edge":
-                if not work.has_edge(m.u, m.v):
-                    raise ServeError(
-                        f"edge ({m.u}, {m.v}) is not in session {self.name!r}"
-                    )
-                work.remove_edge(m.u, m.v)
-                self._drop_color(colors, m.u, m.v, arcs)
-                edge = canonical_edge(m.u, m.v)
-                if edge in new_edges:
-                    new_edges.discard(edge)
-                else:
-                    removed += 1
-        return work, colors, new_edges, removed
+    def _stage(self, mutations: List[Mutation]) -> Tuple[Set[Edge], int]:
+        """Validate and apply ``mutations`` to the graph and colors in place.
 
-    @staticmethod
-    def _drop_color(colors: dict, u: int, v: int, arcs: bool) -> None:
-        if arcs:
-            colors.pop((u, v), None)
-            colors.pop((v, u), None)
+        Returns the batch's new edges and how many edges it removed.
+        Each graph change is logged as its inverse; a :class:`ServeError`
+        replays the log backwards and re-raises.  Two steps wait until
+        every mutation has validated, so that the rollback never has to
+        restore an order: a removed vertex keeps its place in the node
+        order until then (it is only marked gone), and the colors of
+        removed edges are dropped only then.  So a rejected batch leaves
+        ``graph.nodes()`` (order included), every adjacency set and the
+        colors exactly as they were, and the rollback, like the staging,
+        costs time proportional to the batch.
+        """
+        graph = self.graph
+        undo: List[Callable[[], None]] = []
+        gone: Set[int] = set()
+        #: Vertices the batch added or brought back, in the order of
+        #: their last addition.
+        added: Dict[int, None] = {}
+        revived = False
+        dropped: List[Edge] = []
+        new_edges: Set[Edge] = set()
+        removed = 0
+
+        def add_node(u: int) -> None:
+            nonlocal revived
+            if u in gone:
+                gone.discard(u)
+                added[u] = None
+                revived = True
+            elif not graph.has_node(u):
+                graph.add_node(u)
+                undo.append(partial(graph.remove_node, u))
+                added[u] = None
+
+        try:
+            for m in mutations:
+                if m.op == "add_vertex":
+                    add_node(m.u)
+                elif m.op == "remove_vertex":
+                    if m.u in gone or not graph.has_node(m.u):
+                        raise ServeError(
+                            f"vertex {m.u} is not in session {self.name!r}"
+                        )
+                    for u, v in graph.incident_edges(m.u):
+                        graph.remove_edge(u, v)
+                        undo.append(partial(graph.add_edge, u, v))
+                        dropped.append((u, v))
+                        new_edges.discard((u, v))
+                        removed += 1
+                    gone.add(m.u)
+                    added.pop(m.u, None)
+                elif m.op == "add_edge":
+                    if m.u == m.v:
+                        raise ServeError(f"self-loop ({m.u}, {m.v}) cannot be colored")
+                    if not graph.has_edge(m.u, m.v):
+                        add_node(m.u)
+                        add_node(m.v)
+                        graph.add_edge(m.u, m.v)
+                        undo.append(partial(graph.remove_edge, m.u, m.v))
+                        new_edges.add(canonical_edge(m.u, m.v))
+                elif m.op == "remove_edge":
+                    if not graph.has_edge(m.u, m.v):
+                        raise ServeError(
+                            f"edge ({m.u}, {m.v}) is not in session {self.name!r}"
+                        )
+                    graph.remove_edge(m.u, m.v)
+                    undo.append(partial(graph.add_edge, m.u, m.v))
+                    edge = canonical_edge(m.u, m.v)
+                    dropped.append(edge)
+                    if edge in new_edges:
+                        new_edges.discard(edge)
+                    else:
+                        removed += 1
+        except ServeError:
+            for step in reversed(undo):
+                step()
+            raise
+        for u in gone:
+            graph.remove_node(u)
+        if revived:
+            # A vertex removed and added back goes to the end of the
+            # node order, as a fresh insertion would; keep the batch's
+            # other additions after it in their own order.
+            for u in added:
+                nbrs = list(graph.neighbors(u))
+                graph.remove_node(u)
+                graph.add_node(u)
+                for v in nbrs:
+                    graph.add_edge(u, v)
+        for u, v in dropped:
+            self._drop_color(u, v)
+        return new_edges, removed
+
+    def _drop_color(self, u: int, v: int) -> None:
+        if self.algorithm == "dima2ed":
+            self.colors.pop((u, v), None)
+            self.colors.pop((v, u), None)
         else:
-            colors.pop(canonical_edge(u, v), None)
+            self.colors.pop(canonical_edge(u, v), None)
 
     def _recolor(self, new_edges: List[Edge], batch_seed: int) -> BatchOutcome:
         outcome = BatchOutcome(
@@ -320,24 +389,38 @@ class ColoringSession:
             # Removal-only batch: dropping colors cannot break
             # properness, so there is nothing to recolor (or verify).
             return outcome
+        clock = time.perf_counter
         if self.incremental:
+            t0 = clock()
             try:
-                outcome.rounds = self._recolor_incremental(new_edges, batch_seed)
+                fresh = self._recolor_incremental(new_edges, batch_seed)
+                outcome.rounds = fresh.rounds
             except FallbackRequired:
                 outcome.incremental = False
+            outcome.recolor_s += clock() - t0
         else:
             outcome.incremental = False
         if outcome.incremental and self.verify:
-            outcome.violations = self._violations()
+            t0 = clock()
+            if self._local_violations(fresh.colors):
+                # Report the full checker's list.
+                outcome.violations = self._violations()
+            outcome.verify_s += clock() - t0
             if outcome.violations:
                 outcome.incremental = False
         if not outcome.incremental:
             outcome.fallback = bool(self.incremental)
+            t0 = clock()
             outcome.rounds = self._recolor_full(batch_seed)
+            t1 = clock()
             self._check_or_raise()
+            outcome.recolor_s += t1 - t0
+            outcome.verify_s += clock() - t1
         return outcome
 
-    def _recolor_incremental(self, new_edges: List[Edge], seed: int) -> int:
+    def _recolor_incremental(
+        self, new_edges: List[Edge], seed: int
+    ) -> IncrementalOutcome:
         if self.algorithm == "dima2ed":
             out = incremental_arc_colors(
                 self.graph, self.colors, new_edges, seed=seed
@@ -347,7 +430,7 @@ class ColoringSession:
                 self.graph, self.colors, new_edges, seed=seed
             )
         self.colors.update(out.colors)
-        return out.rounds
+        return out
 
     def _recolor_full(self, seed: int) -> int:
         self.stats["full_runs"] += 1
@@ -375,6 +458,42 @@ class ColoringSession:
                 self.graph.to_directed(), self.colors, complete=True
             )
         return check_proper_edge_coloring(self.graph, self.colors, complete=True)
+
+    def _local_violations(self, recolored: Dict) -> List[str]:
+        """Violations around the touched set T after an incremental
+        recolor: T is the endpoints of the edges (arcs) in ``recolored``.
+
+        Alg. 1 checks every edge with an endpoint in T (radius 1).
+        DiMa2Ed checks both arcs of every edge with an endpoint in T or
+        next to it (radius 2).  That holds every edge or arc that can
+        conflict with a recolored one, every adjacency that decides such
+        a conflict, and every edge the batch added.  So the verdict
+        (empty or not) equals :meth:`_violations`' *provided* the
+        coloring was proper and complete before the batch, which every
+        batch of a verifying session leaves behind and loading checks.
+        """
+        graph, colors = self.graph, self.colors
+        touched = {x for key in recolored for x in key}
+        # The recolored entries go in as they are, so one that names no
+        # edge (or a non-canonical key) is reported as the full check would.
+        local_colors = {key: colors[key] for key in recolored if key in colors}
+        if self.algorithm == "dima2ed":
+            digraph = DiGraph()
+            for u in touched.union(*map(graph.neighbors, touched)):
+                for v in graph.neighbors(u):
+                    for arc in ((u, v), (v, u)):
+                        digraph.add_arc(*arc)
+                        if arc in colors:
+                            local_colors[arc] = colors[arc]
+            return check_strong_arc_coloring(digraph, local_colors, complete=True)
+        local = Graph()
+        for u in touched:
+            for v in graph.neighbors(u):
+                local.add_edge(u, v)
+                edge = canonical_edge(u, v)
+                if edge in colors:
+                    local_colors[edge] = colors[edge]
+        return check_proper_edge_coloring(local, local_colors, complete=True)
 
     def _check_or_raise(self, when: str = "after a full rerun") -> None:
         if not self.verify:

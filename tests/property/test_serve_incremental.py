@@ -28,6 +28,7 @@ from repro.serve.incremental import (
 from repro.core.edge_coloring import color_edges
 from repro.core.dima2ed import strong_color_arcs
 from repro.serve.session import ColoringSession, Mutation
+from repro.types import canonical_edge
 from repro.verify import (
     check_proper_edge_coloring,
     check_strong_arc_coloring,
@@ -182,6 +183,103 @@ class TestIncrementalCoreProperties:
         # an incomplete merge.
         missing = [v for v in violations if "uncolored" in v]
         assert missing == []
+
+
+def _random_batch(rng, graph):
+    """One batch of inserts, removals and vertex churn, valid as it
+    unfolds, with at least one edge insertion."""
+    sim = graph.copy()
+    batch = []
+    while not batch or rng.random() < 0.6:
+        nodes = sim.nodes()
+        roll = rng.random()
+        if roll < 0.55 or not batch:
+            u, v = rng.sample(nodes, 2)
+            if not sim.has_edge(u, v):
+                sim.add_edge(u, v)
+                batch.append(Mutation("add_edge", u, v))
+        elif roll < 0.75 and sim.num_edges:
+            u, v = rng.choice(sim.edge_list())
+            sim.remove_edge(u, v)
+            batch.append(Mutation("remove_edge", u, v))
+        elif roll < 0.88:
+            u = max(nodes) + 1
+            sim.add_node(u)
+            batch.append(Mutation("add_vertex", u))
+        elif len(nodes) > 6:
+            u = rng.choice(nodes)
+            sim.remove_node(u)
+            batch.append(Mutation("remove_vertex", u))
+    return batch
+
+
+def _inject(rng, session, recolored, kind):
+    """Put a bad color on one recolored entry.
+
+    Only recolored entries are touched, because the local check's
+    precondition is a coloring that was proper and complete before the
+    batch.  The entries the batch did not recolor come from that
+    coloring, so a bad color planted on one of them would be a state no
+    verifying session reaches.
+    """
+    colors, graph = session.colors, session.graph
+    key = rng.choice(recolored)
+    if kind == "uncolored":
+        del colors[key]
+    elif kind == "invalid":
+        colors[key] = rng.choice([-1, "x", 1.5])
+    elif kind == "random":
+        colors[key] = rng.randrange(max(colors.values()) + 2)
+    elif kind == "clash":
+        # A color that certainly conflicts: an edge sharing an endpoint
+        # (Alg. 1), or an arc whose tail neighbours this arc's head
+        # (DiMa2Ed), when one is colored.
+        u, v = key
+        if session.algorithm == "dima2ed":
+            rivals = [(w, x) for w in graph.neighbors(v) for x in graph.neighbors(w)]
+        else:
+            rivals = [canonical_edge(u, w) for w in graph.neighbors(u)]
+        rivals = [r for r in rivals if r != key and r in colors]
+        if rivals:
+            colors[key] = colors[rng.choice(rivals)]
+
+
+class TestLocalVerification:
+    """After an incremental recolor the session checks only around the
+    touched set T; that verdict must equal the full checker's."""
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        family=st.sampled_from(sorted(FAMILIES)),
+        algorithm=st.sampled_from(["alg1", "dima2ed"]),
+        inject=st.sampled_from(["none", "clash", "random", "invalid", "uncolored"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_local_verdict_equals_full_verdict(self, family, algorithm, inject, seed):
+        rng = random.Random(seed)
+        g = FAMILIES[family](2 * rng.randint(5, 9), seed % 97)
+        session = ColoringSession("l", algorithm=algorithm, seed=seed)
+        session.load_edges(g.edge_list(), g.num_nodes)
+        # Clean batches through apply() keep the session proper and
+        # complete, which is the local check's precondition.
+        for _ in range(rng.randint(0, 3)):
+            session.apply(_random_batch(rng, session.graph))
+        new_edges, _ = session._stage(_random_batch(rng, session.graph))
+        if not new_edges:
+            return  # the batch removed what it added: nothing to recolor
+        try:
+            fresh = session._recolor_incremental(sorted(new_edges), seed)
+        except FallbackRequired:
+            return
+        if inject != "none":
+            _inject(rng, session, sorted(fresh.colors), inject)
+        local = session._local_violations(fresh.colors)
+        full = session._violations()
+        assert bool(local) == bool(full), (local, full)
 
 
 class TestServeFuzzTier:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.edge_coloring import EdgeColoringParams, color_edges
-from repro.core.dima2ed import strong_color_arcs
+from repro.core.dima2ed import StrongColoringParams, strong_color_arcs
+from repro.errors import ConfigurationError
 from repro.graphs.adjacency import Graph
-from repro.graphs.generators import erdos_renyi_avg_degree, small_world
+from repro.graphs.generators import erdos_renyi_avg_degree, path_graph, small_world
 from repro.serve.incremental import (
     FallbackRequired,
     incremental_arc_colors,
@@ -120,8 +121,11 @@ class TestIncrementalArcColors:
         g = Graph([(0, 1), (2, 3)])
         colors = {(0, 1): 0, (1, 0): 1, (2, 3): 0, (3, 2): 1}
         assert check_strong_arc_coloring(g.to_directed(), colors) == []
+        before = dict(colors)
         g.add_edge(1, 2)
         out = incremental_arc_colors(g, colors, [(1, 2)], seed=3)
+        # The stale channels are masked, not dropped from the input.
+        assert colors == before
         colors.update(out.colors)
         assert check_strong_arc_coloring(
             g.to_directed(), colors, complete=True
@@ -146,3 +150,33 @@ class TestIncrementalArcColors:
         g, colors = self._colored_digraph()
         out = incremental_arc_colors(g, colors, [], seed=0)
         assert out.colors == {}
+
+
+class TestRoundBudget:
+    """A round budget below 1 is refused as the run path refuses it,
+    not left for the engine to reject as a superstep count."""
+
+    @pytest.mark.parametrize("max_rounds", [0, -2])
+    def test_edge_budget_below_one(self, max_rounds):
+        g = path_graph(4)
+        colors = dict(color_edges(g, seed=1).colors)
+        g.add_edge(0, 3)
+        with pytest.raises(
+            ConfigurationError, match=f"max_rounds must be >= 1, got {max_rounds}"
+        ):
+            incremental_edge_colors(
+                g, colors, [(0, 3)], params=EdgeColoringParams(max_rounds=max_rounds)
+            )
+
+    @pytest.mark.parametrize("max_rounds", [0, -2])
+    def test_arc_budget_below_one(self, max_rounds):
+        g = path_graph(4)
+        colors = dict(strong_color_arcs(g.to_directed(), seed=1).colors)
+        g.add_edge(0, 3)
+        with pytest.raises(
+            ConfigurationError, match=f"max_rounds must be >= 1, got {max_rounds}"
+        ):
+            incremental_arc_colors(
+                g, colors, [(0, 3)],
+                params=StrongColoringParams(max_rounds=max_rounds),
+            )

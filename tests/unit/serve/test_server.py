@@ -124,6 +124,32 @@ class TestMetrics:
         batch_samples = snap["repro_serve_batches"]["samples"]
         assert sum(sample["value"] for sample in batch_samples) == 1
 
+    def test_phase_seconds_family(self, tmp_path):
+        registry = MetricsRegistry()
+        server = ColoringServer(
+            SessionManager(state_dir=tmp_path), registry=registry
+        )
+        _ok(server, "create", name="g", edges=[[0, 1], [1, 2]], seed=2)
+        for u, v in ((2, 0), (2, 3)):
+            _ok(
+                server,
+                "mutate",
+                name="g",
+                mutations=[{"op": "add_edge", "u": u, "v": v}],
+            )
+        assert _ok(server, "save") == {"written": 1}
+        family = registry.snapshot()["repro_serve_phase_seconds"]
+        assert family["type"] == "histogram"
+        phases = {
+            sample["labels"]["phase"]: sample for sample in family["samples"]
+        }
+        assert sorted(phases) == ["persist", "recolor", "stage", "verify"]
+        for phase in ("stage", "recolor", "verify"):
+            assert phases[phase]["count"] == 2
+            assert phases[phase]["sum"] > 0
+        assert phases["persist"]["count"] == 1
+        assert phases["persist"]["sum"] > 0
+
     def test_publisher_receives_request_totals(self, tmp_path):
         ring = tmp_path / "serve.jsonl"
         publisher = SnapshotPublisher(ring, interval=0.0)

@@ -1,10 +1,13 @@
 """Unit tests for coloring sessions and the session manager."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ServeError, VerificationError
+from repro.graphs.adjacency import Graph
 from repro.graphs.generators import erdos_renyi_avg_degree
 from repro.serve.session import (
     ColoringSession,
@@ -21,6 +24,15 @@ def _session(algorithm="alg1", n=20, seed=2):
     s = ColoringSession("s", algorithm=algorithm, seed=seed)
     s.load_edges(g.edge_list(), g.num_nodes)
     return s
+
+
+def _non_edge(g):
+    return next(
+        (u, v)
+        for u in g.nodes()
+        for v in g.nodes()
+        if u < v and not g.has_edge(u, v)
+    )
 
 
 def _assert_valid(s):
@@ -181,6 +193,105 @@ class TestMutationBatches:
         assert s.batches == 2
 
 
+class TestInPlaceStaging:
+    """Batches are staged on the session's own graph and colors, with an
+    undo log; a rejected batch is rolled back exactly."""
+
+    @staticmethod
+    def _snapshot(s):
+        return {
+            "nodes": s.graph.nodes(),
+            "adjacency": {u: set(s.graph.neighbors(u)) for u in s.graph.nodes()},
+            "colors": copy.deepcopy(s.colors),
+            "batches": s.batches,
+            "stats": copy.deepcopy(s.stats),
+        }
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "dima2ed"])
+    def test_rejected_batch_is_rolled_back_exactly(self, algorithm):
+        s = _session(algorithm=algorithm, n=16)
+        twin = _session(algorithm=algorithm, n=16)
+        before = self._snapshot(s)
+        graph = s.graph
+        x, y = s.graph.edge_list()[0]
+        victim = max(s.graph.nodes(), key=s.graph.degree)
+        if victim in (x, y):
+            victim = next(u for u in s.graph.nodes() if u not in (x, y) and s.graph.degree(u))
+        with pytest.raises(ServeError, match="not in session"):
+            s.apply(
+                [
+                    Mutation("add_vertex", 500),
+                    Mutation("add_edge", 501, 502),  # creates both endpoints
+                    Mutation("remove_edge", x, y),
+                    Mutation("remove_vertex", victim),
+                    Mutation("add_edge", victim, 500),  # brings it back
+                    Mutation("remove_edge", 500, 503),  # not an edge
+                ]
+            )
+        assert s.graph is graph
+        assert self._snapshot(s) == before
+        # Full reruns relabel by node order, so the next one must give
+        # the colors of a session that never saw the batch.
+        s.incremental = twin.incremental = False
+        u, v = _non_edge(s.graph)
+        s.apply([Mutation("add_edge", u, v)])
+        twin.apply([Mutation("add_edge", u, v)])
+        assert s.graph.nodes() == twin.graph.nodes()
+        assert s.colors == twin.colors
+
+    def test_removed_then_readded_vertex_moves_to_the_end(self):
+        s = _session()
+        nodes = s.graph.nodes()
+        first, second = nodes[0], nodes[1]
+        s.apply(
+            [
+                Mutation("add_vertex", 700),
+                Mutation("remove_vertex", first),
+                Mutation("remove_vertex", second),
+                Mutation("add_vertex", first),
+                Mutation("add_edge", 701, second),
+            ]
+        )
+        # As on a fresh insertion: the re-added vertices follow the
+        # others, in the order of their last addition.
+        assert s.graph.nodes() == nodes[2:] + [700, first, 701, second]
+        assert s.graph.degree(first) == 0
+        _assert_valid(s)
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "dima2ed"])
+    def test_single_insert_never_copies_the_session_graph(
+        self, algorithm, monkeypatch
+    ):
+        s = _session(algorithm=algorithm, n=14)
+        own = s.graph
+        for name in ("copy", "to_directed"):
+            original = getattr(Graph, name)
+
+            def guarded(graph, _original=original, _name=name):
+                if graph is own:
+                    raise AssertionError(f"Graph.{_name} on the session graph")
+                return _original(graph)
+
+            monkeypatch.setattr(Graph, name, guarded)
+        u, v = _non_edge(s.graph)
+        out = s.apply([Mutation("add_edge", u, v)])
+        assert out.incremental and not out.fallback
+        assert s.graph is own and s.graph.has_edge(u, v)
+        monkeypatch.undo()
+        _assert_valid(s)
+
+    def test_phase_timings_stay_off_the_wire(self):
+        s = _session()
+        u, v = _non_edge(s.graph)
+        out = s.apply([Mutation("add_edge", u, v)])
+        assert out.stage_s > 0 and out.recolor_s > 0 and out.verify_s > 0
+        assert out.stage_s + out.recolor_s + out.verify_s <= out.wall_s
+        assert set(out.to_dict()) == {
+            "applied", "new_edges", "removed_edges", "incremental",
+            "fallback", "rounds", "violations", "wall_s",
+        }
+
+
 class TestQueries:
     def test_color_of_counts_queries(self):
         s = _session()
@@ -278,6 +389,37 @@ class TestPersistence:
         state = s.to_state()
         state["format"] = 99
         with pytest.raises(ServeError):
+            ColoringSession.from_state(state)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGoldenState:
+    """Format-1 ``*.session.json`` files, one per algorithm, written by
+    ``SessionManager.save`` before in-place staging and local
+    verification landed."""
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "dima2ed"])
+    def test_loads_and_passes_the_on_load_check(self, algorithm):
+        state = json.loads((GOLDEN / f"{algorithm}.session.json").read_text())
+        assert state["format"] == 1
+        session = ColoringSession.from_state(state)
+        assert session.algorithm == algorithm
+        assert session.batches == 2
+        _assert_valid(session)
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "dima2ed"])
+    def test_writes_back_the_same_json(self, algorithm):
+        text = (GOLDEN / f"{algorithm}.session.json").read_text()
+        session = ColoringSession.from_state(json.loads(text))
+        assert json.dumps(session.to_state(), sort_keys=True) == text
+
+    @pytest.mark.parametrize("algorithm", ["alg1", "dima2ed"])
+    def test_format_2_is_refused_by_number(self, algorithm):
+        state = json.loads((GOLDEN / f"{algorithm}.session.json").read_text())
+        state["format"] = 2
+        with pytest.raises(ServeError, match="format 2"):
             ColoringSession.from_state(state)
 
 
