@@ -15,11 +15,29 @@ they are not a networkx replacement — but what they implement is complete:
 mutation, queries, iteration, copying, induced subgraphs, and conversion
 between the directed and undirected views (DiMa2Ed runs on the *symmetric
 closure* of an undirected graph).
+
+Array-built graphs
+------------------
+:meth:`Graph.from_edge_arrays` (what :func:`repro.graphs.io.read_edge_list`
+returns for a native file) keeps the canonical edge arrays and their CSR
+instead of sets.  The CSR, carrying the edge arrays, sits in the
+``_csr`` cache slot, so the mutators' existing cache reset drops both.
+A placeholder sits in the adjacency slot: it answers the node-level
+queries (length, iteration, membership) from the node count, and the
+first other access builds the sets, installs them in the graph and
+forwards the call.  The placeholder costs set-built graphs nothing,
+because their attribute lookups never meet it.  Node ids are ``0 ..
+n-1`` in order, so the engines' relabel is the identity.  ``to_directed``
+of such a graph is a symmetric :class:`DiGraph` over the same read-only
+arrays, whose ``is_symmetric`` is O(1) and whose ``to_undirected`` is
+again array-built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+import weakref
+from operator import index
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -27,6 +45,114 @@ from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.types import Arc, Edge, NodeId, canonical_edge
 
 __all__ = ["Graph", "DiGraph"]
+
+
+class _ArrayCSR(tuple):
+    """The CSR ``(indptr, indices)`` of an array-built graph.
+
+    ``u`` and ``v`` hold the graph's canonical edges (``u < v``, sorted
+    by ``(u, v)``), kept apart from the CSR so that the verifiers can
+    read them instead of the arrays the kernels read.  Every array is
+    read-only.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+
+    def __reduce__(self):
+        return _array_csr, (*self, self.u, self.v)
+
+
+def _array_csr(indptr, indices, u, v) -> _ArrayCSR:
+    for a in (indptr, indices, u, v):
+        a.flags.writeable = False
+    csr = _ArrayCSR((indptr, indices))
+    csr.u, csr.v = u, v
+    return csr
+
+
+def _adjacency_sets(csr: Tuple[np.ndarray, np.ndarray]) -> Dict[NodeId, Set[NodeId]]:
+    """``{u: set of u's CSR row}`` for every row, in id order."""
+    ptr = csr[0].tolist()
+    idx = csr[1].tolist()
+    return {u: set(idx[ptr[u] : ptr[u + 1]]) for u in range(len(ptr) - 1)}
+
+
+class _Unbuilt:
+    """Stands in an array-built graph's adjacency slot (``slot``).
+
+    Answers length, iteration and membership over the nodes ``0 ..
+    n-1``; any other access makes the owner build its adjacency sets
+    from ``csr``, then forwards to the dict that replaced this object.
+    """
+
+    __slots__ = ("owner", "slot", "csr")
+
+    def __init__(self, owner, slot: str, csr: _ArrayCSR) -> None:
+        self.owner = weakref.ref(owner)
+        self.slot = slot
+        self.csr = csr
+
+    def __len__(self) -> int:
+        return len(self.csr[0]) - 1
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(range(len(self)))
+
+    def __contains__(self, u: object) -> bool:
+        try:
+            i = index(u)
+        except TypeError:
+            hash(u)  # an unhashable query raises, as a dict lookup does
+            return u in range(len(self))
+        return 0 <= i < len(self)
+
+    def _sets(self) -> dict:
+        owner = self.owner()
+        owner._build_sets()
+        return getattr(owner, self.slot)
+
+    def __getitem__(self, u):
+        return self._sets()[u]
+
+    def __setitem__(self, u, value) -> None:
+        self._sets()[u] = value
+
+    def __delitem__(self, u) -> None:
+        del self._sets()[u]
+
+    def get(self, u, default=None):
+        return self._sets().get(u, default)
+
+    def items(self):
+        return self._sets().items()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _Unbuilt):
+            return all(np.array_equal(a, b) for a, b in zip(self.csr, other.csr))
+        return self._sets() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+#: The largest node count whose ``u * n + v`` edge keys fit in int64.
+MAX_ARRAY_NODES = 3_037_000_499
+
+
+def _endpoints(a) -> np.ndarray:
+    a = np.asarray(a)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise GraphError("edge endpoints must be 1-D arrays of integers")
+    return a.astype(np.int64)
+
+
+def _edge_arrays(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The canonical edges ``(u, v)`` (``u < v``, sorted by ``(u, v)``,
+    read-only) of a graph built by :meth:`Graph.from_edge_arrays`, or of
+    the symmetric digraph it converts to; None for a graph built or
+    changed through its sets."""
+    csr = self._csr
+    return (csr.u, csr.v) if type(csr) is _ArrayCSR else None
 
 
 class Graph:
@@ -43,7 +169,7 @@ class Graph:
     2
     """
 
-    __slots__ = ("_adj", "_csr")
+    __slots__ = ("_adj", "_csr", "__weakref__")
 
     def __init__(self, edges: Iterable[Tuple[int, int]] | None = None) -> None:
         self._adj: Dict[NodeId, Set[NodeId]] = {}
@@ -62,6 +188,67 @@ class Graph:
         g = cls()
         g.add_nodes_from(range(n))
         return g
+
+    @classmethod
+    def from_edge_arrays(cls, n: int, u, v) -> "Graph":
+        """The graph on nodes ``0 .. n-1`` with the edges ``{u[i], v[i]}``,
+        built in arrays rather than sets.
+
+        Duplicate and reversed pairs collapse into one edge, as they do
+        through :meth:`add_edge`, and a self-loop raises the same
+        :class:`GraphError`, for the first loop in array order.  An
+        endpoint outside ``0 .. n-1`` raises too, and so does ``n`` above
+        :data:`MAX_ARRAY_NODES`.
+
+        The graph keeps its canonical edges (:meth:`edge_arrays`) and
+        their CSR, equal to what :meth:`to_csr` builds from sets.  It
+        builds adjacency sets on the first neighbour-level access, and
+        drops the arrays at its first mutation.
+        """
+        n = index(n)
+        if not 0 <= n <= MAX_ARRAY_NODES:
+            raise GraphError(
+                f"number of nodes must be in 0..{MAX_ARRAY_NODES}, got {n}"
+            )
+        u, v = _endpoints(u), _endpoints(v)
+        if len(u) != len(v):
+            raise GraphError(f"{len(u)} tails but {len(v)} heads")
+        loops = np.flatnonzero(u == v)
+        if len(loops):
+            i = loops[0]
+            raise GraphError(f"self-loop ({int(u[i])}, {int(v[i])}) is not allowed")
+        if len(u) and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+            raise GraphError(f"edge endpoints must be node ids 0..{n - 1}")
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        keys.sort()
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
+        u, v = np.divmod(keys, n)
+        # Both directions of every edge, sorted: row-major, rows ascending.
+        arcs = np.concatenate([keys, v * n + u])
+        arcs.sort()
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=indptr[1:])
+        return cls._from_csr(_array_csr(indptr, arcs % n, u, v))
+
+    @classmethod
+    def _from_csr(cls, csr: _ArrayCSR) -> "Graph":
+        g = cls.__new__(cls)
+        g._adj = _Unbuilt(g, "_adj", csr)
+        g._csr = csr
+        return g
+
+    def _build_sets(self) -> None:
+        """Replace the :class:`_Unbuilt` placeholder with adjacency sets."""
+        self._adj = _adjacency_sets(self._adj.csr)
+
+    edge_arrays = _edge_arrays
+
+    def __reduce_ex__(self, protocol):
+        # The placeholder's weak reference does not pickle: a graph that
+        # has not built its sets pickles, and copies, as its arrays.
+        if type(self._adj) is _Unbuilt:
+            return type(self)._from_csr, (self._csr,)
+        return object.__reduce_ex__(self, protocol)
 
     def add_node(self, u: NodeId) -> None:
         """Add node ``u`` (no-op if already present)."""
@@ -129,6 +316,8 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
+        if self._csr is not None:
+            return len(self._csr[1]) // 2
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def nodes(self) -> List[NodeId]:
@@ -161,6 +350,8 @@ class Graph:
 
     def degree_array(self) -> np.ndarray:
         """Degrees as a numpy array aligned with :meth:`nodes` order."""
+        if type(self._csr) is _ArrayCSR:
+            return np.diff(self._csr[0])
         return np.fromiter(
             (len(nbrs) for nbrs in self._adj.values()),
             dtype=np.int64,
@@ -225,7 +416,10 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def copy(self) -> "Graph":
-        """An independent deep copy."""
+        """An independent deep copy (of an array-built graph: another
+        array-built graph over the same read-only arrays)."""
+        if type(self._csr) is _ArrayCSR:
+            return Graph._from_csr(self._csr)
         g = Graph()
         g._adj = {u: set(nbrs) for u, nbrs in self._adj.items()}
         return g
@@ -258,7 +452,13 @@ class Graph:
         return g, mapping
 
     def to_directed(self) -> "DiGraph":
-        """The symmetric closure: every edge becomes a pair of arcs."""
+        """The symmetric closure: every edge becomes a pair of arcs.
+
+        Of an array-built graph, a symmetric digraph over the same
+        read-only arrays.
+        """
+        if type(self._csr) is _ArrayCSR:
+            return DiGraph._from_csr(self._csr)
         d = DiGraph()
         d.add_nodes_from(self._adj)
         for u, v in self.edges():
@@ -285,7 +485,7 @@ class DiGraph:
     directions.
     """
 
-    __slots__ = ("_succ", "_pred", "_csr")
+    __slots__ = ("_succ", "_pred", "_csr", "__weakref__")
 
     def __init__(self, arcs: Iterable[Tuple[int, int]] | None = None) -> None:
         self._succ: Dict[NodeId, Set[NodeId]] = {}
@@ -305,6 +505,29 @@ class DiGraph:
         d = cls()
         d.add_nodes_from(range(n))
         return d
+
+    @classmethod
+    def _from_csr(cls, csr: _ArrayCSR) -> "DiGraph":
+        """The symmetric digraph over an array-built graph's arrays."""
+        d = cls.__new__(cls)
+        d._succ = _Unbuilt(d, "_succ", csr)
+        d._pred = _Unbuilt(d, "_pred", csr)
+        d._csr = csr
+        return d
+
+    def _build_sets(self) -> None:
+        """Replace both :class:`_Unbuilt` placeholders with adjacency sets."""
+        csr = self._succ.csr
+        self._succ = _adjacency_sets(csr)
+        self._pred = _adjacency_sets(csr)
+
+    edge_arrays = _edge_arrays
+
+    def __reduce_ex__(self, protocol):
+        # As for Graph: an unbuilt view pickles, and copies, as its arrays.
+        if type(self._succ) is _Unbuilt:
+            return type(self)._from_csr, (self._csr,)
+        return object.__reduce_ex__(self, protocol)
 
     def add_node(self, u: NodeId) -> None:
         """Add node ``u`` (no-op if already present)."""
@@ -360,6 +583,8 @@ class DiGraph:
     @property
     def num_arcs(self) -> int:
         """Number of arcs."""
+        if self._csr is not None:
+            return len(self._csr[1])
         return sum(len(s) for s in self._succ.values())
 
     def nodes(self) -> List[NodeId]:
@@ -416,7 +641,10 @@ class DiGraph:
 
         DiMa2Ed is specified for symmetric digraphs ("our graph is
         bidirectional"); callers should check this before running it.
+        O(1) on the symmetric view of an array-built graph.
         """
+        if type(self._csr) is _ArrayCSR:
+            return True
         return all(u in self._succ[v] for u, v in self.arcs())
 
     def to_csr(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -455,14 +683,23 @@ class DiGraph:
     # -- derived graphs ---------------------------------------------------
 
     def copy(self) -> "DiGraph":
-        """An independent deep copy."""
+        """An independent deep copy (of a symmetric view: another view
+        over the same read-only arrays)."""
+        if type(self._csr) is _ArrayCSR:
+            return DiGraph._from_csr(self._csr)
         d = DiGraph()
         d._succ = {u: set(s) for u, s in self._succ.items()}
         d._pred = {u: set(p) for u, p in self._pred.items()}
         return d
 
     def to_undirected(self) -> Graph:
-        """The underlying undirected graph (arc directions dropped)."""
+        """The underlying undirected graph (arc directions dropped).
+
+        Of the symmetric view of an array-built graph, a fresh
+        array-built graph over the same arrays.
+        """
+        if type(self._csr) is _ArrayCSR:
+            return Graph._from_csr(self._csr)
         g = Graph()
         g.add_nodes_from(self._succ)
         for u, v in self.arcs():

@@ -15,14 +15,32 @@ benchmark graphs ship in:
   ``rows cols nnz`` size line before the 1-based entries, optionally a
   weight column.
 
-Both come gzip-compressed as a rule; any ``.gz`` path is decompressed
-on the fly (streamed — never materialized).  Foreign ids are relabeled
-to contiguous ``0..n-1`` in first-seen order with ``relabel=True``,
-single pass, returning the mapping alongside the graph.
+Both come gzip-compressed as a rule; any ``.gz`` path the line parser
+reads is decompressed on the fly (streamed — never materialized).
+Foreign ids are relabeled to contiguous ``0..n-1`` in first-seen order
+with ``relabel=True``, single pass, returning the mapping alongside the
+graph.
+
+Native files take an array path first (``relabel=False``, any suffix
+but ``.mtx``).  It reads the whole file as bytes — a ``.gz`` file is
+decompressed whole, not streamed — takes the ``# nodes:`` header from
+the leading comment block, checks the body in bulk with numpy and parses
+it straight into int64 edge arrays, which
+:meth:`~repro.graphs.adjacency.Graph.from_edge_arrays` turns into a
+graph without adjacency sets.  It takes only the canonical ASCII form:
+after the leading block of comment and blank lines, every line is blank
+or two runs of digits separated by spaces or tabs, ``\\r`` appears only
+before ``\\n``, and every id is below
+:data:`~repro.graphs.adjacency.MAX_ARRAY_NODES`.  Anything else goes to
+the line parser, so the two paths agree on every input: the same graph,
+or the same :class:`~repro.errors.GraphError`.
 
 Every malformed input raises :class:`~repro.errors.GraphError` naming
 the path: a bad line or header, a corrupt or truncated ``.gz``, bytes
-that are not UTF-8, and (native format) a negative vertex id.
+that are not UTF-8, and (native format) a negative vertex id.  An
+endpoint is ASCII decimal digits, optionally after one ``-``, and a
+``# nodes:`` value is ASCII digits; ``int()`` alone would also take
+``+3``, ``1_0`` and non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -34,8 +52,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.errors import GraphError
-from repro.graphs.adjacency import DiGraph, Graph
+from repro.graphs.adjacency import MAX_ARRAY_NODES, DiGraph, Graph
 
 __all__ = ["write_edge_list", "read_edge_list", "write_arc_list", "read_arc_list"]
 
@@ -98,7 +118,7 @@ def _reading(path: PathLike):
         ) from exc
 
 
-def _check_no_negative_ids(path: PathLike, g, n: int) -> None:
+def _check_no_negative_ids(path: PathLike, g, n: int, hint: str = "") -> None:
     """Reject negative ids in a graph built over labels ``0..n-1``.
 
     ``n`` already exceeds every id read, so a node beyond the ``n``
@@ -107,8 +127,32 @@ def _check_no_negative_ids(path: PathLike, g, n: int) -> None:
     if g.num_nodes != n:
         raise GraphError(
             f"{path}: negative vertex id {min(g.nodes())}; the native format "
-            "holds ids 0..n-1 (read foreign ids with relabel=True)"
+            f"holds ids 0..n-1{hint}"
         )
+
+
+def _decimal(tokens: str) -> bool:
+    """True unless ``tokens`` (one or more tokens, joined) holds a ``+``,
+    a ``_`` or a non-ASCII character.  A token ``int()`` reads from such
+    text is ASCII ``-?[0-9]+``, the one endpoint form the readers take."""
+    return tokens.isascii() and "+" not in tokens and "_" not in tokens
+
+
+def _leading_line(line: str) -> Tuple[bool, Optional[str]]:
+    """``(data, header)`` for a stripped line of a file's leading block:
+    ``data`` is False for a blank or comment line, and ``header`` is the
+    value a ``# nodes:`` comment declares (None on any other line)."""
+    if line and not line.startswith(_COMMENT_PREFIXES):
+        return True, None
+    body = line[1:].strip()
+    if body.startswith("nodes:"):
+        return False, body.split(":", 1)[1].strip()
+    return False, None
+
+
+def _node_count(value: str) -> Optional[int]:
+    """A ``# nodes:`` value as an int; None unless it is ASCII digits."""
+    return int(value) if value.isascii() and value.isdigit() else None
 
 
 def _write_pairs(fh: io.TextIOBase, nodes, pairs) -> None:
@@ -149,11 +193,21 @@ def read_edge_list(
     """
     if relabel:
         return _read_relabeled(path, num_vertices)
+    if not str(path).endswith((".mtx", ".mtx.gz")):
+        g = _read_arrays(path, num_vertices)
+        if g is not None:
+            return g
+    return _read_lines(path, num_vertices)
+
+
+def _read_lines(path: PathLike, num_vertices: Optional[int] = None) -> Graph:
+    """The line parser's native read: what :func:`read_edge_list` returns
+    for every input the array path declines."""
     n, pairs = _read_pairs(path, num_vertices)
     g = Graph.from_num_nodes(n)
     with _naming(path):
         g.add_edges_from(pairs)
-    _check_no_negative_ids(path, g, n)
+    _check_no_negative_ids(path, g, n, " (read foreign ids with relabel=True)")
     return g
 
 
@@ -165,6 +219,114 @@ def read_arc_list(path: PathLike) -> DiGraph:
         d.add_arcs_from(pairs)
     _check_no_negative_ids(path, d, n)
     return d
+
+
+# -- the array path -----------------------------------------------------------
+
+def _read_arrays(path: PathLike, num_vertices: Optional[int]) -> Optional[Graph]:
+    """A native edge list parsed straight into edge arrays, or None when
+    the input is not in the canonical form (see the module docstring)."""
+    try:
+        data = _read_bytes(path)
+    except _DECODE_ERRORS:
+        return None
+    leading = _leading_block(data)
+    if leading is None:
+        return None
+    start, header = leading
+    values = _parse_body(data[start:])
+    if values is None:
+        return None
+    max_label = int(values.max()) if len(values) else -1
+    # A token beyond int64 parses as the int64 maximum, which is far
+    # above the limit too.
+    if max(header or 0, max_label + 1, num_vertices or 0) > MAX_ARRAY_NODES:
+        return None
+    n = _num_nodes(header or 0, max_label, num_vertices)
+    with _naming(path):
+        return Graph.from_edge_arrays(n, values[0::2], values[1::2])
+
+
+def _read_bytes(path: PathLike) -> bytes:
+    if str(path).endswith(".gz"):
+        with gzip.open(path, "rb") as fh:
+            return fh.read()
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _leading_block(data: bytes) -> Optional[Tuple[int, Optional[int]]]:
+    """``(offset of the first data line, '# nodes:' value or None)``, from
+    the leading comment and blank lines read as the line parser reads
+    them; None for a line it would split or decode differently, and for
+    a header it rejects."""
+    pos, header = 0, None
+    while pos < len(data):
+        end = data.find(b"\n", pos)
+        stop = len(data) if end < 0 else end + 1
+        raw = data[pos:stop].rstrip(b"\n")
+        raw = raw[:-1] if raw.endswith(b"\r") else raw
+        if b"\r" in raw:
+            return None
+        try:
+            data_line, value = _leading_line(raw.decode("utf-8").strip())
+        except UnicodeDecodeError:
+            return None
+        if data_line:
+            break
+        if header is None and value is not None:
+            header = _node_count(value)
+            if header is None:
+                return None
+        pos = stop
+    return pos, header
+
+
+def _parse_body(body: bytes) -> Optional[np.ndarray]:
+    """The endpoints of ``body`` as one int64 array ``u0 v0 u1 v1 ...``,
+    or None unless every line is blank or ``digits ws digits`` and every
+    ``\\r`` comes before a ``\\n``."""
+    b = np.frombuffer(body, dtype=np.uint8)
+    digit = (b - np.uint8(48)) < 10
+    newline = b == 10
+    if not (digit | newline | (b == 32) | (b == 9) | (b == 13)).all():
+        return None
+    cr = np.flatnonzero(b == 13)
+    if len(cr) and (cr[-1] + 1 == len(b) or not newline[cr + 1].all()):
+        return None
+    starts = digit.copy()
+    starts[1:] &= ~digit[:-1]
+    events = np.flatnonzero(starts | newline)
+    breaks = np.flatnonzero(newline[events])
+    # Tokens between consecutive line ends, and after the last one.
+    per_line = np.diff(breaks, prepend=-1, append=len(events)) - 1
+    if not ((per_line == 0) | (per_line == 2)).all():
+        return None
+    tokens = len(events) - len(breaks)
+    if not tokens:
+        # fromstring reads text without a token as one 0.
+        return np.zeros(0, dtype=np.int64)
+    # Any whitespace separates numbers for fromstring; the count check
+    # holds it to the tokens found above.
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    return values if len(values) == tokens else None
+
+
+def _num_nodes(header: int, max_label: int, num_vertices: Optional[int]) -> int:
+    """The node count of a native read: the header, the largest id plus
+    one and ``num_vertices``, whichever is largest."""
+    n = header
+    if num_vertices is not None:
+        if num_vertices < max_label + 1:
+            raise GraphError(
+                f"num_vertices={num_vertices} is smaller than the largest "
+                f"vertex id seen ({max_label})"
+            )
+        n = max(n, num_vertices)
+    return max(n, max_label + 1)
+
+
+# -- the line parser ----------------------------------------------------------
 
 
 def _parse_lines(
@@ -198,6 +360,8 @@ def _parse_lines(
                 header_pending = False
                 if len(parts) == 3:
                     try:
+                        if not _decimal("".join(parts)):
+                            raise ValueError(line)
                         size = max(int(parts[0]), int(parts[1]))
                         int(parts[2])
                     except ValueError as exc:
@@ -211,6 +375,9 @@ def _parse_lines(
             if len(parts) not in allowed:
                 raise GraphError(f"{path}:{lineno}: expected 'u v', got {line!r}")
             try:
+                # Both endpoints in one test; a weight column is not checked.
+                if not _decimal(parts[0] + parts[1]):
+                    raise ValueError(line)
                 u, v = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise GraphError(f"{path}:{lineno}: non-integer endpoint") from exc
@@ -231,35 +398,24 @@ def _read_pairs(path: PathLike, num_vertices: Optional[int] = None):
         # of n means ids 1..n — labels 0..n, i.e. n + 1 nodes here.
         n = max(n, declared["size"] + 1)
     max_label = max((max(u, v) for u, v in pairs), default=-1)
-    if num_vertices is not None:
-        if num_vertices < max_label + 1:
-            raise GraphError(
-                f"num_vertices={num_vertices} is smaller than the largest "
-                f"vertex id seen ({max_label})"
-            )
-        n = max(n, num_vertices)
-    n = max(n, max_label + 1)
-    return n, pairs
+    return _num_nodes(n, max_label, num_vertices), pairs
 
 
 def _read_nodes_header(path: PathLike):
     """The ``# nodes: n`` header value, scanning comments only."""
     with _reading(path) as fh:
         for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if not line.startswith(_COMMENT_PREFIXES):
+            data_line, value = _leading_line(raw.strip())
+            if data_line:
                 return None
-            body = line[1:].strip()
-            if body.startswith("nodes:"):
-                value = body.split(":", 1)[1].strip()
-                if not value.isdecimal():
+            if value is not None:
+                count = _node_count(value)
+                if count is None:
                     raise GraphError(
                         f"{path}: '# nodes:' header needs a non-negative "
                         f"integer, got {value!r}"
                     )
-                return int(value)
+                return count
     return None
 
 

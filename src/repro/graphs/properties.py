@@ -34,7 +34,8 @@ def _degrees(g: AnyGraph) -> List[int]:
         # For symmetric digraphs the relevant Δ in the paper is the
         # underlying undirected degree, i.e. the number of neighbors.
         return [g.out_degree(u) for u in g]
-    return [g.degree(u) for u in g]
+    # An array-built graph answers from its CSR, without building sets.
+    return g.degree_array().tolist()
 
 
 def max_degree(g: AnyGraph) -> int:

@@ -15,10 +15,13 @@ in bulk; a node's rank is then its id when the ids are ``0 .. n-1``, and
 its position among the sorted ids otherwise.  Anything else is ranked
 one value at a time through dicts.
 
-The graph side is read from its adjacency sets through ``nodes()`` and
-``neighbors()``/``successors()``, never from the CSR cache the
-simulation kernels read, so a CSR bug cannot hide from the verifiers.
-Keys are combined only over ranks, so no product overflows int64.
+The graph side is never read from the CSR the simulation kernels read,
+so a CSR bug cannot hide from the verifiers.  An array-built graph, or
+the symmetric digraph it converts to, is read from the canonical edge
+arrays its constructor kept (``edge_arrays()``), which are derived
+apart from its CSR; any other graph is read from its adjacency sets
+through ``nodes()`` and ``neighbors()``/``successors()``.  Keys are
+combined only over ranks, so no product overflows int64.
 """
 
 from __future__ import annotations
@@ -150,10 +153,17 @@ def adjacency(
     graph, neighbors: Callable[[object], Set]
 ) -> Tuple[Nodes, np.ndarray, np.ndarray]:
     """The graph's nodes and its ``(row, column)`` adjacency pairs as
-    ranks, row by row in ``nodes()`` order and each row in the order its
-    ``neighbors`` set iterates."""
+    ranks.  From an array-built graph's edge arrays ``(u, v)``, the pairs
+    are ``(u, v)`` in order, then ``(v, u)``; otherwise they run row by
+    row in ``nodes()`` order, each row in the order its ``neighbors``
+    set iterates."""
     ids = graph.nodes()
     nodes = Nodes(ids)
+    arrays = getattr(graph, "edge_arrays", None)
+    edges = arrays() if arrays is not None else None
+    if edges is not None:
+        u, v = edges  # ids 0..n-1, so a node's rank is its id
+        return nodes, np.concatenate([u, v]), np.concatenate([v, u])
     sets = [neighbors(u) for u in ids]
     degrees = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
     rows = np.repeat(nodes.ranks, degrees)

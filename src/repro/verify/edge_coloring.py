@@ -135,7 +135,8 @@ def _clashes(e: Entries) -> List[str]:
 def _uncolored(
     nodes: Nodes, rows: np.ndarray, cols: np.ndarray, e: Entries, present: np.ndarray
 ) -> List[str]:
-    """Graph edges no entry colors, in ``graph.edges()`` order."""
+    """Graph edges no entry colors, in ``graph.edges()`` order (in
+    ascending ``(low, high)`` order for an array-built graph)."""
     n = nodes.n
     once = rows < cols
     if int(present.sum()) == int(once.sum()):  # distinct keys, distinct edges

@@ -141,7 +141,7 @@ class Counterexample:
 
     def graph(self) -> Graph:
         g = Graph()
-        g.add_edges_from(self.edges)
+        g.add_edges_from(map(_edge, self.edges))
         return g
 
     def to_json(self) -> str:
@@ -162,17 +162,24 @@ class Counterexample:
 
     @classmethod
     def from_json(cls, text: str) -> "Counterexample":
+        """Parse a counterexample; :class:`ConfigurationError` names a
+        newer format, a missing key or an edge that is no pair."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ConfigurationError("a counterexample is a JSON object")
         if data.get("format", 1) > _FORMAT:
             raise ConfigurationError(
                 f"counterexample format {data['format']} is newer than "
                 f"this checkout understands ({_FORMAT})"
             )
+        for key in _REQUIRED:
+            if key not in data:
+                raise ConfigurationError(f"counterexample has no {key!r} key")
         return cls(
             algorithm=data["algorithm"],
             seed=data["seed"],
             tiers=list(data["tiers"]),
-            edges=[tuple(e) for e in data["edges"]],
+            edges=[_edge(e) for e in data["edges"]],
             family=data.get("family", "unknown"),
             summary=data.get("summary", ""),
             original_nodes=data.get("original_nodes", 0),
@@ -194,6 +201,20 @@ class Counterexample:
             seed=self.seed,
             tiers=list(tiers) if tiers is not None else list(self.tiers),
         )
+
+
+#: The keys a counterexample file cannot do without.
+_REQUIRED = ("algorithm", "seed", "tiers", "edges")
+
+
+def _edge(edge) -> Tuple[int, int]:
+    """``edge`` as a ``(u, v)`` tuple, or :class:`ConfigurationError`
+    naming it."""
+    if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+        raise ConfigurationError(
+            f"counterexample edge {edge!r} is not a (u, v) pair"
+        )
+    return tuple(edge)
 
 
 def load_counterexample(path) -> Counterexample:

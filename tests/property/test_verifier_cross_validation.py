@@ -18,10 +18,14 @@ Random colorings (valid and invalid alike) are drawn per graph, so the
 oracles are compared on both verdicts, not just on algorithm outputs.
 The three-way suites also draw partial colorings, arbitrary node ids,
 isolated nodes and non-symmetric digraphs, inject faults, and require
-equal violation counts as well as equal verdicts.
+equal violation counts as well as equal verdicts.  They run once more
+on array-built graphs (``Graph.from_edge_arrays`` and its symmetric
+``to_directed``), which the verifiers read from their edge arrays
+without building a set.
 """
 
 import random
+from unittest import mock
 
 import networkx as nx
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +33,8 @@ from hypothesis import strategies as st
 
 from repro.core.dima2ed import strong_color_arcs
 from repro.core.edge_coloring import color_edges
+from repro.graphs import adjacency
+from repro.graphs.adjacency import Graph
 from repro.graphs.convert import to_networkx
 from repro.verify import (
     check_proper_edge_coloring,
@@ -342,3 +348,86 @@ class TestThreeWayStrongColoring:
         colors = strong_color_arcs(digraph, seed=seed).colors
         assert check_strong_arc_coloring(digraph, colors) == []
         assert nx_strong_violation_count(digraph, colors, True) == 0
+
+
+# -- array-built graphs: the verifiers read edge arrays, not sets ------------
+
+
+def _array_built(graph) -> Graph:
+    """``graph`` (ids ``0 .. n-1``) rebuilt from its edge arrays."""
+    edges = graph.edge_list()
+    return Graph.from_edge_arrays(
+        graph.num_nodes, [u for u, _ in edges], [v for _, v in edges]
+    )
+
+
+def _no_sets():
+    """A context in which building adjacency sets fails the test."""
+    return mock.patch.object(
+        adjacency, "_adjacency_sets", side_effect=AssertionError("sets were built")
+    )
+
+
+@st.composite
+def array_edge_colorings(draw):
+    """An array-built graph, its set-built twin, a partial coloring with
+    injected faults (drawn against the twin), and ``complete``."""
+    graph = draw(nonempty_graphs(max_nodes=8))
+    edges = sorted(graph.edges())
+    colored = draw(st.lists(st.sampled_from(edges), unique=True))
+    colors = {e: draw(st.integers(0, 3)) for e in colored}
+    for fault in draw(st.lists(st.sampled_from(EDGE_FAULTS), max_size=3)):
+        _inject_edge_fault(draw, graph, colors, fault)
+    return _array_built(graph), graph, colors, draw(st.booleans())
+
+
+@st.composite
+def array_arc_colorings(draw):
+    """The symmetric view of an array-built graph, its set-built twin, a
+    partial channel map with injected faults, and ``complete``."""
+    graph = draw(nonempty_graphs(max_nodes=7))
+    digraph = graph.to_directed()
+    arcs = sorted(digraph.arcs())
+    colored = draw(st.lists(st.sampled_from(arcs), unique=True))
+    colors = {a: draw(st.integers(0, 5)) for a in colored}
+    for fault in draw(st.lists(st.sampled_from(ARC_FAULTS), max_size=3)):
+        _inject_arc_fault(draw, digraph, colors, fault)
+    return _array_built(graph).to_directed(), digraph, colors, draw(st.booleans())
+
+
+class TestArrayBuiltGraphs:
+    @THREE_WAY
+    @given(array_edge_colorings())
+    def test_edge_verdicts_match_the_set_built_twin(self, case):
+        built, graph, colors, complete = case
+        with _no_sets():
+            ours = check_proper_edge_coloring(built, colors, complete=complete)
+        assert ours == check_proper_edge_coloring(graph, colors, complete=complete)
+        assert ours == set_walk.check_proper_edge_coloring(graph, colors, complete=complete)
+        assert len(ours) == nx_proper_violation_count(graph, colors, complete)
+
+    @THREE_WAY
+    @given(array_arc_colorings())
+    def test_arc_verdicts_match_the_set_built_twin(self, case):
+        view, digraph, colors, complete = case
+        with _no_sets():
+            ours = check_strong_arc_coloring(view, colors, complete=complete)
+        assert sorted(ours) == sorted(check_strong_arc_coloring(digraph, colors, complete=complete))
+        walk = set_walk.check_strong_arc_coloring(digraph, colors, complete=complete)
+        assert sorted(ours) == sorted(walk)
+        assert len(ours) == nx_strong_violation_count(digraph, colors, complete)
+
+    @RELAXED
+    @given(graphs(max_nodes=9), st.integers(min_value=0, max_value=2**31))
+    def test_algorithm_outputs_pass_without_sets(self, graph, seed):
+        built = _array_built(graph)
+        with _no_sets():
+            colors = color_edges(built, seed=seed).colors
+            assert check_proper_edge_coloring(built, colors, complete=True) == []
+            view = built.to_directed()
+            channels = strong_color_arcs(view, seed=seed).colors
+            assert check_strong_arc_coloring(view, channels) == []
+        assert colors == color_edges(graph, seed=seed).colors
+        assert channels == strong_color_arcs(graph.to_directed(), seed=seed).colors
+        assert nx_proper_edge_coloring(graph, colors)
+        assert nx_strong_arc_coloring(graph.to_directed(), channels)

@@ -281,3 +281,140 @@ class TestIsolatedVertexIngestion:
         g, _ = read_edge_list(path, relabel=True)
         result = color_edges(g, seed=0)
         assert len(result.colors) == g.num_edges
+
+
+class TestEndpointsAreAsciiDecimal:
+    """``int()`` takes ``+3``, ``1_0`` and non-ASCII digits; the reader
+    does not, on either path and in no format."""
+
+    @pytest.mark.parametrize("line", ["0 +3", "1_0 2", "0 ٣"])
+    def test_native_endpoint_rejected(self, tmp_path, line):
+        path = tmp_path / "g.edges"
+        path.write_text(f"{line}\n", encoding="utf-8")
+        with pytest.raises(GraphError, match=f"{path.name}:1: non-integer endpoint"):
+            read_edge_list(path)
+
+    def test_arabic_indic_nodes_header_rejected(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("# nodes: ٥\n0 1\n", encoding="utf-8")
+        with pytest.raises(GraphError, match="'# nodes:' header"):
+            read_edge_list(path)
+
+    def test_signed_snap_ids_rejected(self, tmp_path):
+        path = tmp_path / "snap.txt"
+        path.write_text("+7 -2\n")
+        with pytest.raises(GraphError, match=f"{path.name}:1: non-integer endpoint"):
+            read_edge_list(path, relabel=True)
+
+    def test_signed_mtx_size_rejected(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate pattern general\n+2 2 1\n1 2\n")
+        with pytest.raises(GraphError, match="non-integer MatrixMarket size line"):
+            read_edge_list(path, relabel=True)
+
+    def test_weight_column_is_not_checked(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "3 3 2\n1 2 1.5e+00\n2 3 +2_0\n"
+        )
+        g, _ = read_edge_list(path, relabel=True)
+        assert g.num_edges == 2
+
+    def test_leading_minus_keeps_the_negative_id_message(self, tmp_path):
+        path = tmp_path / "neg.edges"
+        path.write_text("0 1\n-4 2\n")
+        with pytest.raises(GraphError, match="negative vertex id -4"):
+            read_edge_list(path)
+
+
+class TestArcListErrors:
+    def test_negative_id_message_has_no_relabel_hint(self, tmp_path):
+        path = tmp_path / "neg.arcs"
+        path.write_text("# nodes: 3\n-1 2\n")
+        with pytest.raises(GraphError, match="negative vertex id -1") as info:
+            read_arc_list(path)
+        assert "relabel" not in str(info.value)
+
+
+class TestArrayPath:
+    """Native files parse into edge arrays; anything else takes the line
+    parser, and the two agree."""
+
+    def _both(self, path, **kwargs):
+        from repro.graphs.io import _read_lines
+
+        return read_edge_list(path, **kwargs), _read_lines(path, **kwargs)
+
+    @pytest.mark.parametrize("suffix", [".edges", ".edges.gz"])
+    def test_written_file_is_array_built_and_equal(self, tmp_path, suffix):
+        g = erdos_renyi_gnp(40, 0.15, seed=2)
+        path = tmp_path / f"g{suffix}"
+        write_edge_list(g, path)
+        fast, lines = self._both(path)
+        assert fast.edge_arrays() is not None
+        assert lines.edge_arrays() is None
+        for a, b in zip(fast.to_csr(), lines.to_csr()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert fast == lines == g and fast.nodes() == lines.nodes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# nodes: 5\r\n0 1\r\n1 2\r\n",  # CRLF line ends
+            "\n  # nodes: 6\n%c\n\n 0\t1 \n\n3  2\n",  # blanks, tabs, spaces
+            "0 1\n2 3",  # no final line end
+            "# nodes: 4\n",  # header only
+            "0007 3\n3 7\n",  # leading zeros, a reversed duplicate
+            "",
+        ],
+    )
+    def test_canonical_forms_take_the_array_path(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_bytes(text.encode())
+        fast, lines = self._both(path)
+        assert fast.edge_arrays() is not None
+        assert fast == lines and fast.nodes() == lines.nodes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 1\n# late comment\n1 2\n",
+            "0 1\r1 2\n",  # a lone carriage return is a line end
+            "0 1 2\n",
+        ],
+    )
+    def test_other_forms_take_the_line_parser(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_bytes(text.encode())
+        try:
+            lines = self._both(path)[1]
+        except GraphError as exc:
+            with pytest.raises(GraphError) as info:
+                read_edge_list(path)
+            assert str(info.value) == str(exc)
+            return
+        assert read_edge_list(path).edge_arrays() is None
+        assert read_edge_list(path) == lines
+
+    def test_first_self_loop_in_file_order(self, tmp_path):
+        path = tmp_path / "loop.edges"
+        path.write_text("0 1\n4 4\n2 2\n")
+        with pytest.raises(GraphError, match=r"loop.edges: self-loop \(4, 4\)"):
+            read_edge_list(path)
+
+    def test_id_beyond_int64_is_named_exactly(self, tmp_path):
+        # The line parser names the id as written; the array path would
+        # read it as the int64 maximum, so it declines the file.
+        path = tmp_path / "g.edges"
+        path.write_text("0 1\n1 99999999999999999999\n")
+        with pytest.raises(GraphError, match=r"seen \(99999999999999999999\)"):
+            read_edge_list(path, num_vertices=3)
+
+    def test_num_vertices_pads_and_checks(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("0 1\n1 5\n")
+        g = read_edge_list(path, num_vertices=9)
+        assert g.edge_arrays() is not None and g.num_nodes == 9
+        with pytest.raises(GraphError, match="num_vertices=3"):
+            read_edge_list(path, num_vertices=3)
