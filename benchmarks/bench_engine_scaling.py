@@ -1,29 +1,28 @@
 #!/usr/bin/env python
-"""Engine scaling benchmark: fast-path delivery core vs. general loop.
+"""Engine scaling benchmark: the kernels' edge over the per-node loop.
 
-Sweeps Erdős–Rényi and scale-free graphs at n ∈ {1k, 10k, 50k} across
-three workloads —
+Sweeps Erdős–Rényi and scale-free graphs at n ∈ {1k, 10k} across the
+paper's two algorithms —
 
-* ``flood``    — every node broadcasts a rolling checksum for 30 rounds,
-  the delivery-bound workload the fast path targets (dense tier);
-* ``alg1``     — the paper's Algorithm 1 edge coloring (mixed phases:
-  broadcasts, unicast fans, staggered halting);
+* ``alg1``     — Algorithm 1 edge coloring (mixed phases: broadcasts,
+  unicast fans, staggered halting);
 * ``dima2ed``  — the DiMa2Ed strong coloring on the symmetric closure —
 
-and runs each with the seed engine's general loop (``compute="general"``;
-``fastpath=False`` on the flood probe's engine), the fast delivery path
-(``compute="pernode"``), and
-— for the two algorithm kinds — the fused palette-plane kernels
-(``compute="vectorized"``) and the disk-backed sharded tier
-(``compute="sharded"``; skipped where no spill directory is writable),
-recording wall time, rounds/sec, delivered messages/sec and peak RSS.
-The sharded tier is reported as an *overhead* ratio over the vectorized
-kernels — it trades wall time for a bounded memory footprint, and its
-scaling story lives in ``bench_shard_scaling.py``.  Each measurement
-executes in a forked child process so the RSS high-water mark is
-per-run, not cumulative.  All paths must be *bit-identical* (same
-metrics dict, same final program state digest) — any divergence fails
-the benchmark, so every run doubles as a correctness gate.
+and runs each on the per-node programs (``compute="general"``), the
+fused palette-plane kernels (``compute="auto"``, reported as
+``vectorized``) and the disk-backed sharded tier (``compute="sharded"``;
+skipped where no spill directory is writable), recording wall time,
+rounds/sec, delivered messages/sec and peak RSS.  The sharded tier is
+reported as an *overhead* ratio over the vectorized kernels — it trades
+wall time for a bounded memory footprint, and its scaling story lives
+in ``bench_shard_scaling.py``.  Each measurement executes in a forked
+child process so the RSS high-water mark is per-run, not cumulative,
+and times one run after an untimed warm-up.  Each of ``--repeats``
+rounds measures every mode once, so the walls a speedup ratio divides
+sample the same stretch of host time; each mode reports its fastest.
+All modes must be *bit-identical* (same metrics dict, same coloring
+digest) — any divergence fails the benchmark, so every run doubles as
+a correctness gate.
 
 Results land in ``BENCH_engine.json`` at the repo root by default.
 
@@ -34,10 +33,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_engine_scaling.py --smoke \
         --out /tmp/smoke.json --check BENCH_engine.json                 # regression gate
 
-The ``--check`` gate compares *speedup ratios* (fast vs. general on the
-same machine, same moment), not absolute wall times, so it is stable
-across host speeds; a workload regresses if its measured speedup falls
-more than ``--tolerance`` (default 20%) below the committed baseline.
+The ``--check`` gate compares *speedup ratios* (vectorized vs. general
+on the same machine, same moment), not absolute wall times, so it is
+stable across host speeds; a workload regresses if its measured speedup
+falls more than ``--tolerance`` (default 20%) below the committed
+baseline and under ``VECTORIZED_GATE_FLOOR``.
 
 ``--history [PATH]`` appends the sweep to the bench-history trajectory
 (``benchmarks/out/bench_history.jsonl``) and ``--compare BASELINE``
@@ -71,48 +71,14 @@ from benchlib import peak_rss_kb  # noqa: E402
 from repro.core.dima2ed import strong_color_arcs  # noqa: E402
 from repro.core.edge_coloring import color_edges  # noqa: E402
 from repro.graphs.generators import erdos_renyi_avg_degree, scale_free  # noqa: E402
-from repro.runtime.engine import SynchronousEngine  # noqa: E402
-from repro.runtime.message import Message  # noqa: E402
-from repro.runtime.node import Context, NodeProgram  # noqa: E402
 from repro.runtime.observe import AutomatonTelemetry  # noqa: E402
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_engine.json"
-FLOOD_ROUNDS = 30
-
-
-class Flood(NodeProgram):
-    """All nodes broadcast a rolling checksum each round, then halt.
-
-    Every superstep is a full-graph broadcast with no halted receivers,
-    which is the delivery-bound regime the fast path's dense tier owns.
-    The probe does O(1) work per superstep (it folds only the inbox
-    *length* into its state) so the measurement isolates the engine's
-    delivery rate rather than Python-level message processing; payload
-    content and ordering identity between the two paths is enforced by
-    the metrics comparison here plus the order-sensitive ``alg1`` /
-    ``dima2ed`` workloads and the property suite
-    (``tests/property/test_engine_equivalence.py``).
-    """
-
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        self.acc = node_id + 1
-
-    def on_superstep(self, ctx: Context, inbox: Sequence[Message]):
-        self.acc = (self.acc * 31 + len(inbox)) % 1_000_003
-        if ctx.superstep >= FLOOD_ROUNDS:
-            self.halt()
-        else:
-            ctx.broadcast(self.acc)
 
 
 #: name -> spec.  ``smoke`` entries form the CI subset; they keep the
 #: same keys as the full sweep so ``--check`` can diff either file.
 WORKLOADS: Dict[str, Dict[str, Any]] = {
-    "flood-er-n1000-d32": dict(kind="flood", family="er", n=1_000, deg=32.0, smoke=False),
-    "flood-er-n10000-d32": dict(kind="flood", family="er", n=10_000, deg=32.0, smoke=True),
-    "flood-er-n50000-d32": dict(kind="flood", family="er", n=50_000, deg=32.0, smoke=False),
-    "flood-sf-n10000-m16": dict(kind="flood", family="sf", n=10_000, m=16, smoke=False),
     "alg1-er-n1000-d8": dict(kind="alg1", family="er", n=1_000, deg=8.0, smoke=True),
     "alg1-er-n10000-d8": dict(kind="alg1", family="er", n=10_000, deg=8.0, smoke=False),
     "alg1-sf-n1000-m4": dict(kind="alg1", family="sf", n=1_000, m=4, smoke=True),
@@ -135,13 +101,11 @@ def _digest(obj: Any) -> str:
 
 
 #: mode -> keyword arguments for the algorithm entry points.  ``general``
-#: is the seed engine's per-node loop, ``fast`` the vectorised delivery
-#: path, ``vectorized`` the fused palette-plane kernels, ``sharded`` the
-#: disk-backed tier.
+#: is the per-node loop, ``vectorized`` the fused palette-plane kernels
+#: that ``compute="auto"`` selects, ``sharded`` the disk-backed tier.
 MODES: Dict[str, Dict[str, Any]] = {
     "general": dict(compute="general"),
-    "fast": dict(compute="pernode"),
-    "vectorized": dict(compute="vectorized"),
+    "vectorized": dict(compute="auto"),
     "sharded": dict(compute="sharded"),
 }
 
@@ -158,11 +122,9 @@ _SHARD_ONLY_FIELDS = (
 
 def _modes_for(spec: Dict[str, Any]) -> list:
     """The measurement modes applicable to one workload."""
-    modes = ["general", "fast"]
-    if spec["kind"] in ("alg1", "dima2ed"):
-        modes.append("vectorized")
-        if _sharded_usable():
-            modes.append("sharded")
+    modes = ["general", "vectorized"]
+    if _sharded_usable():
+        modes.append("sharded")
     return modes
 
 
@@ -172,84 +134,63 @@ def _sharded_usable() -> bool:
     return sharded_available()
 
 
-def _run_one(spec: Dict[str, Any], mode: str, repeats: int) -> Dict[str, Any]:
-    """Build the graph once and time ``repeats`` engine runs in a fork.
+def _run_one(spec: Dict[str, Any], mode: str, telemetry: bool) -> Dict[str, Any]:
+    """Build the graph and time one warm run of ``mode``.
 
-    Reports the *minimum* wall time (the standard noise-resistant
-    estimator for a deterministic computation); the run result itself is
-    deterministic, which the digest comparison across repeats asserts.
+    An untimed first run pays the one-off costs (lazy kernel imports,
+    the graph's cached CSR).  With ``telemetry``, one more untimed run
+    collects automaton telemetry: convergence shape travels with the
+    report without perturbing the timing.
     """
     g = _build_graph(spec)
-    kind = spec["kind"]
-    kwargs = MODES[mode]
-    dg = g.to_directed() if kind == "dima2ed" else None
-    wall = float("inf")
-    metrics = rounds = state = None
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        if kind == "flood":
-            run = SynchronousEngine(
-                g, Flood, seed=RUN_SEED, fastpath=mode != "general"
-            ).run()
-            w = time.perf_counter() - t0
-            m, r = run.metrics.to_dict(), run.supersteps
-            s = _digest([p.acc for p in run.programs])
-        elif kind == "alg1":
-            res = color_edges(g, seed=RUN_SEED, **kwargs)
-            w = time.perf_counter() - t0
-            m, r = res.metrics.to_dict(), res.rounds
-            s = _digest(sorted(res.colors.items()))
-        else:
-            res = strong_color_arcs(dg, seed=RUN_SEED, **kwargs)
-            w = time.perf_counter() - t0
-            m, r = res.metrics.to_dict(), res.rounds
-            s = _digest(sorted(res.colors.items()))
-        # The sharded tier's wall-clock/RSS cost fields are host noise;
-        # drop them so the determinism check below sees only counters.
-        m.pop("shard_exchange_seconds", None)
-        m.pop("shard_peak_rss_kb", None)
-        if state is not None and (s, m) != (state, metrics):
-            raise RuntimeError(f"non-deterministic result for {spec} mode={mode}")
-        metrics, rounds, state = m, r, s
-        wall = min(wall, w)
-    # One extra, untimed run collecting automaton telemetry for the
-    # algorithm workloads (fast mode only — telemetry is bit-identical
-    # across modes, asserted by the test-suite, so one copy per workload
-    # suffices): convergence shape travels with the report without
-    # perturbing the timing measurement above.
-    telemetry = None
-    if kind in ("alg1", "dima2ed") and mode == "fast":
+    if spec["kind"] == "dima2ed":
+        g = g.to_directed()
+        entry = strong_color_arcs
+    else:
+        entry = color_edges
+
+    def run(**extra):
+        return entry(g, seed=RUN_SEED, **MODES[mode], **extra)
+
+    run()
+    t0 = time.perf_counter()
+    res = run()
+    wall = time.perf_counter() - t0
+    metrics = res.metrics.to_dict()
+    # The sharded tier's wall-clock/RSS cost fields are host noise; drop
+    # them so the cross-round determinism check sees only counters.
+    metrics.pop("shard_exchange_seconds", None)
+    metrics.pop("shard_peak_rss_kb", None)
+    compact = None
+    if telemetry:
         collector = AutomatonTelemetry()
-        if kind == "alg1":
-            color_edges(g, seed=RUN_SEED, telemetry=collector, **kwargs)
-        else:
-            strong_color_arcs(dg, seed=RUN_SEED, telemetry=collector, **kwargs)
-        telemetry = collector.compact_dict(max_points=32)
+        run(telemetry=collector)
+        compact = collector.compact_dict(max_points=32)
     delivered = metrics["messages_delivered"]
     return {
-        "telemetry": telemetry,
+        "telemetry": compact,
         "wall_s": round(wall, 4),
         "supersteps": metrics["supersteps"],
-        "rounds": rounds,
-        "rounds_per_s": round(rounds / wall, 2),
+        "rounds": res.rounds,
+        "rounds_per_s": round(res.rounds / wall, 2),
         "messages_delivered": delivered,
         "delivered_per_s": round(delivered / wall, 1),
         "peak_rss_kb": peak_rss_kb(),
         "metrics": metrics,
-        "state_digest": state,
+        "state_digest": _digest(sorted(res.colors.items())),
     }
 
 
-def _measure(spec: Dict[str, Any], mode: str, repeats: int) -> Dict[str, Any]:
+def _measure(spec: Dict[str, Any], mode: str, telemetry: bool) -> Dict[str, Any]:
     """Run the measurement in a forked child for per-run peak RSS."""
     if "fork" not in mp.get_all_start_methods():
-        return _run_one(spec, mode, repeats)  # in-process fallback (RSS cumulative)
+        return _run_one(spec, mode, telemetry)  # in-process fallback (RSS cumulative)
     ctx = mp.get_context("fork")
     parent, child = ctx.Pipe()
 
     def _child(conn):
         try:
-            conn.send(("ok", _run_one(spec, mode, repeats)))
+            conn.send(("ok", _run_one(spec, mode, telemetry)))
         except BaseException as exc:  # surface the failure in the parent
             conn.send(("err", repr(exc)))
         finally:
@@ -265,6 +206,35 @@ def _measure(spec: Dict[str, Any], mode: str, repeats: int) -> Dict[str, Any]:
     return payload
 
 
+def _measure_modes(name: str, spec: Dict[str, Any], repeats: int) -> Dict[str, Any]:
+    """Each mode's fastest of ``repeats`` runs (the standard noise-resistant
+    estimator for a deterministic computation).
+
+    Every round runs each mode once, so the modes' walls sample the same
+    stretches of host time and the ratios the gate reads do not swing
+    with the host's speed.  The result itself is deterministic, which
+    the digest and metrics comparison across repeats asserts.
+    """
+    best: Dict[str, Dict[str, Any]] = {}
+    for round_no in range(max(1, repeats)):
+        for mode in _modes_for(spec):
+            print(f"[{name}] {mode:<10s} run {round_no + 1} ...", flush=True)
+            result = _measure(spec, mode, telemetry=round_no == 0 and mode == "vectorized")
+            prev = best.get(mode)
+            if prev is None:
+                best[mode] = result
+                continue
+            if (result["state_digest"], result["metrics"]) != (
+                prev["state_digest"],
+                prev["metrics"],
+            ):
+                raise RuntimeError(f"non-deterministic result for {spec} mode={mode}")
+            if result["wall_s"] < prev["wall_s"]:
+                result["telemetry"] = prev["telemetry"]
+                best[mode] = result
+    return best
+
+
 def _ratio(num: float, den: float) -> float:
     return round(num / den, 3) if den else float("inf")
 
@@ -274,66 +244,47 @@ def run_sweep(smoke: bool, repeats: int) -> Dict[str, Any]:
     for name, spec in WORKLOADS.items():
         if smoke and not spec["smoke"]:
             continue
-        results: Dict[str, Dict[str, Any]] = {}
-        for mode in _modes_for(spec):
-            print(f"[{name}] {mode:<10s} ...", flush=True)
-            results[mode] = _measure(spec, mode, repeats=repeats)
-        slow, fast = results["general"], results["fast"]
+        results = _measure_modes(name, spec, repeats)
+        slow, vec = results["general"], results["vectorized"]
         identical = all(
             {k: v for k, v in r["metrics"].items() if k not in _SHARD_ONLY_FIELDS}
             == slow["metrics"]
             and r["state_digest"] == slow["state_digest"]
             for r in results.values()
         )
-        speedup = _ratio(slow["wall_s"], fast["wall_s"])
-        speedup_delivered = _ratio(
-            fast["delivered_per_s"], slow["delivered_per_s"]
-        )
+        speedup = _ratio(slow["wall_s"], vec["wall_s"])
         entry = {
             "kind": spec["kind"],
             "family": spec["family"],
             "n": spec["n"],
-            "speedup_wall": speedup,
-            "speedup_delivered": speedup_delivered,
+            "speedup_vectorized_over_general": speedup,
             "identical": identical,
+            "telemetry": vec["telemetry"],
         }
         for mode, result in results.items():
             entry[mode] = {
                 k: v for k, v in result.items() if k not in ("metrics", "telemetry")
             }
-        vec = results.get("vectorized")
-        if vec is not None:
-            entry["speedup_vectorized_wall"] = _ratio(slow["wall_s"], vec["wall_s"])
-            entry["speedup_vectorized_over_fast"] = _ratio(
-                fast["wall_s"], vec["wall_s"]
-            )
         sharded = results.get("sharded")
-        if sharded is not None and vec is not None:
+        if sharded is not None:
             # A cost, not a speedup: the disk-backed tier trades wall
             # time for a bounded footprint (see bench_shard_scaling.py).
             entry["overhead_sharded_over_vectorized"] = _ratio(
                 sharded["wall_s"], vec["wall_s"]
             )
-        if fast.get("telemetry") is not None:
-            entry["telemetry"] = fast["telemetry"]
         workloads[name] = entry
         flag = "OK " if identical else "DIVERGED"
-        extra = (
-            f" vectorized {vec['wall_s']:.3f}s" if vec is not None else ""
-        )
         print(
             f"[{name}] {flag} general {slow['wall_s']:.3f}s "
-            f"fast {fast['wall_s']:.3f}s  x{speedup:.2f} wall "
-            f"x{speedup_delivered:.2f} delivered/s{extra}",
+            f"vectorized {vec['wall_s']:.3f}s  x{speedup:.2f} wall",
             flush=True,
         )
     return {
-        "schema": 3,
+        "schema": 4,
         "generated_by": "benchmarks/bench_engine_scaling.py",
         "mode": "smoke" if smoke else "full",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "flood_rounds": FLOOD_ROUNDS,
         "repeats": repeats,
         #: Unit contract for the per-mode measurement fields; peak RSS is
         #: normalised to KiB at the source (see benchlib.peak_rss_kb).
@@ -342,23 +293,17 @@ def run_sweep(smoke: bool, repeats: int) -> Dict[str, Any]:
     }
 
 
-#: Workloads with a baseline speedup below this are compute-bound (the
-#: program dominates, not delivery); their ratio sits within scheduler
-#: noise on shared CI runners, so they are reported but not gated.
-GATE_MIN_SPEEDUP = 1.5
-
-#: The vectorized/fast ratio a healthy kernel must clear.  The smoke
+#: The vectorized/general ratio a healthy kernel must clear.  The smoke
 #: workloads' kernel walls are well under 0.1 s, so their measured ratio
 #: swings widely with scheduler noise; the gate therefore fails only
 #: when the ratio regresses below baseline *and* falls under this floor.
-#: The vectorized core clears ~7-10x on the algorithm workloads, so 5x
-#: is the point where it has genuinely lost its categorical advantage
-#: rather than caught scheduler noise.
 VECTORIZED_GATE_FLOOR = 5.0
 
 
 def check_against(report: Dict[str, Any], baseline_path: Path, tolerance: float) -> int:
-    """Gate: fail if a delivery-bound workload's speedup regressed > tolerance."""
+    """Gate: fail if a workload's kernel speedup over the per-node loop
+    regressed more than ``tolerance`` below the baseline's and under
+    :data:`VECTORIZED_GATE_FLOOR`."""
     baseline = json.loads(baseline_path.read_text())
     failures = 0
     compared = 0
@@ -367,49 +312,19 @@ def check_against(report: Dict[str, Any], baseline_path: Path, tolerance: float)
         if base is None:
             continue
         compared += 1
-        floor = base["speedup_delivered"] * (1.0 - tolerance)
-        if base["speedup_delivered"] < GATE_MIN_SPEEDUP:
-            status = "info (compute-bound, not gated)"
-        elif entry["speedup_delivered"] < floor:
+        base_v = base["speedup_vectorized_over_general"]
+        now_v = entry["speedup_vectorized_over_general"]
+        floor = base_v * (1.0 - tolerance)
+        if now_v < floor and now_v < VECTORIZED_GATE_FLOOR:
             failures += 1
             status = "REGRESSED"
-        else:
-            status = "ok"
-        print(
-            f"check [{name}] baseline x{base['speedup_delivered']:.2f} "
-            f"now x{entry['speedup_delivered']:.2f} "
-            f"(floor x{floor:.2f}) {status}"
-        )
-        # Same gate for the kernels' edge over the fast path, when both
-        # sides measured it.
-        base_b = base.get("speedup_vectorized_over_fast")
-        now_b = entry.get("speedup_vectorized_over_fast")
-        if base_b is None or now_b is None:
-            continue
-        label = "vectorized/fast"
-        if (base.get("speedup_vectorized_over_batched") or 0.0) < 1.0:
-            # Small-n crossover regime, as recorded in the baseline: the
-            # plane kernels' fixed costs made the retired bigint kernel
-            # faster here, so there is no categorical vectorized edge to
-            # defend and the sub-0.1 s walls make the ratio pure noise.
-            print(
-                f"check [{name}] {label} baseline x{base_b:.2f} "
-                "info (batched-preferred size, not gated)"
-            )
-            continue
-        floor_b = base_b * (1.0 - tolerance)
-        if base_b < GATE_MIN_SPEEDUP:
-            status = "info (below gate threshold, not gated)"
-        elif now_b < floor_b and now_b < VECTORIZED_GATE_FLOOR:
-            failures += 1
-            status = "REGRESSED"
-        elif now_b < floor_b:
+        elif now_v < floor:
             status = f"info (noisy, still >= x{VECTORIZED_GATE_FLOOR:.1f})"
         else:
             status = "ok"
         print(
-            f"check [{name}] {label} baseline x{base_b:.2f} "
-            f"now x{now_b:.2f} (floor x{floor_b:.2f}) {status}"
+            f"check [{name}] vectorized/general baseline x{base_v:.2f} "
+            f"now x{now_v:.2f} (floor x{floor:.2f}) {status}"
         )
     if compared == 0:
         print("check: no shared workloads between run and baseline", file=sys.stderr)
@@ -442,21 +357,11 @@ def profile_workload(name: str, repeats: int) -> int:
         best_total = float("inf")
         for _ in range(max(1, repeats)):
             prof = PhaseProfiler()
-            if kind == "flood":
-                run = SynchronousEngine(
-                    g,
-                    Flood,
-                    seed=RUN_SEED,
-                    fastpath=mode != "general",
-                    profiler=prof,
-                ).run()
-                phases = dict(run.metrics.phase_seconds)
-            elif kind == "alg1":
+            if kind == "alg1":
                 res = color_edges(g, seed=RUN_SEED, profiler=prof, **kwargs)
-                phases = dict(res.metrics.phase_seconds)
             else:
                 res = strong_color_arcs(dg, seed=RUN_SEED, profiler=prof, **kwargs)
-                phases = dict(res.metrics.phase_seconds)
+            phases = dict(res.metrics.phase_seconds)
             total = sum(phases.values())
             if total < best_total:
                 best, best_total = phases, total
@@ -496,7 +401,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--repeats",
         type=int,
         default=3,
-        help="engine runs per (workload, path); min wall time is reported",
+        help="timed runs per (workload, mode), one per mode in each round; "
+        "the min wall time is reported",
     )
     parser.add_argument(
         "--tolerance",
@@ -537,7 +443,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     diverged = [k for k, v in report["workloads"].items() if not v["identical"]]
     if diverged:
         print(
-            f"FAIL: a fast or kernel path diverged from general loop on {diverged}",
+            f"FAIL: a kernel tier diverged from the per-node loop on {diverged}",
             file=sys.stderr,
         )
         rc = 1

@@ -191,7 +191,7 @@ def correctness_gate() -> Dict[str, Any]:
     """Small-n digest cross-check: sharded == vectorized, both algorithms."""
     g = erdos_renyi_avg_degree(5_000, 6.0, seed=GRAPH_SEED)
     out: Dict[str, Any] = {}
-    vec = color_edges(g, seed=RUN_SEED, compute="vectorized")
+    vec = color_edges(g, seed=RUN_SEED, compute="auto")
     sharded = color_edges(g, seed=RUN_SEED, compute="sharded", shards=3)
     if (
         _digest(vec.colors) != _digest(sharded.colors)
@@ -200,7 +200,7 @@ def correctness_gate() -> Dict[str, Any]:
         raise RuntimeError("sharded tier diverged from vectorized on alg1 n=5000")
     out["alg1"] = {"digest": _digest(sharded.colors), "n": 5_000, "identical": True}
     d = g.to_directed()
-    vec = strong_color_arcs(d, seed=RUN_SEED, compute="vectorized")
+    vec = strong_color_arcs(d, seed=RUN_SEED, compute="auto")
     sharded = strong_color_arcs(d, seed=RUN_SEED, compute="sharded", shards=3)
     if (
         _digest(vec.colors) != _digest(sharded.colors)

@@ -199,7 +199,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
     )
     rec.add_argument(
         "--sample", type=int, default=None, metavar="N",
-        help="keep 1 event in N (deterministic; keeps the engine fast path)",
+        help="keep 1 event in N (deterministic)",
     )
     rec.add_argument(
         "--telemetry-out", type=Path, default=None,

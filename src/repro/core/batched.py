@@ -19,7 +19,7 @@ it gets:
 * :func:`batched_eligible` — the gates (strict model, no faults,
   transport, tracer, monitors or recovery extensions); anything else
   runs the per-node programs, silently, with identical results;
-  ``compute="pernode"`` and ``compute="general"`` never use a kernel;
+  ``compute="general"`` never uses a kernel;
 * :func:`select_backend` — which member of the family a ``compute``
   mode names;
 * :func:`run_kernel` — build that kernel from one table keyed by
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 #: The ``compute=`` values the algorithm wrappers accept.
-COMPUTE_MODES = ("auto", "vectorized", "sharded", "pernode", "general")
+COMPUTE_MODES = ("auto", "sharded", "general")
 
 #: ``(algorithm, backend) -> (module, kernel class)``.  Resolved on use,
 #: so importing the dispatch code pulls in no kernel module.
@@ -248,7 +248,6 @@ def run_algorithm(
             tracer=tracer,
             telemetry=telemetry,
             profiler=profiler,
-            fastpath=compute != "general",
             monitors=monitors,
             publisher=publisher,
         ).run()
@@ -285,9 +284,8 @@ def select_backend(compute: str) -> str:
 
     ``"sharded"`` names the disk-backed, memory-bounded tier
     (:mod:`repro.core.sharded`) — opt-in only: ``"auto"`` never selects
-    it, because it trades wall time for bounded residency.  Every other
-    mode (``"auto"``, ``"vectorized"``) takes the fused plane kernels
-    (:mod:`repro.core.vectorized`).
+    it, because it trades wall time for bounded residency.  ``"auto"``
+    takes the fused plane kernels (:mod:`repro.core.vectorized`).
     """
     return "sharded" if compute == "sharded" else "vectorized"
 
@@ -306,28 +304,26 @@ def batched_eligible(
     """Whether the algorithm wrappers may select a whole-population kernel.
 
     ``compute`` is the wrapper knob, one of :data:`COMPUTE_MODES`:
-    ``"auto"`` (the vectorized kernels), ``"vectorized"``/``"sharded"``
-    (pin a kernel — same gates, and ineligible configurations still
-    fall back silently to the per-node loop, results identical either
-    way), ``"pernode"`` (never a kernel: the per-node programs, on the
-    engine's fast delivery path where the engine allows it) and
-    ``"general"`` (never a kernel and never the fast path: the engine's
-    reference delivery loop).  Unknown modes
-    raise regardless of the other arguments.  Which kernel an eligible
-    run instantiates is :func:`select_backend`'s decision.
+    ``"auto"`` (the vectorized kernels), ``"sharded"`` (pin the
+    disk-backed kernels — same gates, and ineligible configurations
+    still fall back silently to the per-node loop, results identical
+    either way) and ``"general"`` (never a kernel: the per-node
+    programs on :class:`SynchronousEngine`).  Unknown modes raise
+    regardless of the other arguments.  Which kernel an eligible run
+    instantiates is :func:`select_backend`'s decision.
 
-    The gates mirror the fast delivery path's discipline and are
-    strictly tighter: no tracer at all (a kernel run emits no trace
-    events, so even a sampled tracer would observe a different stream),
-    and none of the defensive/recovery extensions.  Invariant monitors
-    force the per-node path too: they audit the reference engine's
-    per-superstep world, which the kernels do not materialize.
+    The gates: strict model, no fault filter, no transport, no tracer
+    at all (a kernel run emits no trace events, so even a sampled
+    tracer would observe a different stream), and none of the
+    defensive/recovery extensions.  Invariant monitors force the
+    per-node path too: they audit the engine's per-superstep world,
+    which the kernels do not materialize.
     """
     if compute not in COMPUTE_MODES:
         raise ConfigurationError(
             f"compute must be one of {COMPUTE_MODES}, got {compute!r}"
         )
-    if compute in ("pernode", "general"):
+    if compute == "general":
         return False
     return (
         strict

@@ -500,7 +500,7 @@ def color_edges(
         Optional :class:`~repro.runtime.observe.AutomatonTelemetry`
         collector; filled with per-superstep state histograms, the
         transition matrix, and the edges-colored convergence curve.
-        Keeps the fast path engaged and never changes the result.
+        Never changes the result.
     profiler:
         Optional :class:`~repro.runtime.observe.PhaseProfiler`; phase
         timings land in ``result.metrics.phase_seconds``.
@@ -514,27 +514,24 @@ def color_edges(
         plane kernel (:mod:`repro.core.vectorized`) whenever the
         configuration is eligible — strict model, no
         faults/transport/tracer, paper-mode params — and the per-node
-        programs otherwise.  ``"vectorized"`` pins that kernel and
-        ``"sharded"`` the disk-backed memory-bounded tier
-        (:mod:`repro.runtime.sharded`; opt-in only — never chosen by
-        ``"auto"``) — both under the same gates, with ineligible
-        configurations falling back silently.
-        ``"pernode"`` never uses a kernel: it runs the per-node programs
-        on :class:`SynchronousEngine`'s fast delivery path where the
-        engine allows it.  ``"general"`` runs them on the engine's
-        reference delivery loop, which handles every configuration.
-        Results are bit-identical across every mode
+        programs otherwise.  ``"sharded"`` pins the disk-backed
+        memory-bounded tier (:mod:`repro.runtime.sharded`; opt-in only —
+        never chosen by ``"auto"``) under the same gates, with
+        ineligible configurations falling back silently.  ``"general"``
+        never uses a kernel: it runs the per-node programs on
+        :class:`SynchronousEngine`, whose delivery loop handles every
+        configuration.  Results are bit-identical across every mode
         (:data:`repro.core.batched.COMPUTE_MODES`).
     monitors:
         Optional runtime invariant monitors
         (:mod:`repro.verify.monitors`); a monitored run executes on the
-        general per-node loop and a monitor raises
+        per-node loop and a monitor raises
         :class:`~repro.verify.monitors.InvariantViolation` on the first
-        breach.  ``None`` (default) keeps the fast/batched paths.
+        breach.  ``None`` (default) keeps the kernels eligible.
     publisher:
         Optional :class:`~repro.obs.live.SnapshotPublisher`; the engine
         feeds it throttled live-monitor snapshots (``repro top``).
-        Never changes the result and keeps the fast/batched paths.
+        Never changes the result and keeps the kernels eligible.
     shards:
         ``compute="sharded"`` only — number of logical workers the
         vertices are hash-partitioned over.

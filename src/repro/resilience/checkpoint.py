@@ -9,8 +9,8 @@ undelivered inboxes, the live/crashed sets, the accumulated
 the stateful fault-model and monitor objects.  Restoring one into a
 fresh engine resumes mid-run and is **bit-identical** to a run that was
 never interrupted — same coloring, same round count, same metrics dict —
-pinned by ``tests/property/test_checkpoint_restart.py`` across the
-general, fast-path and batched delivery cores.
+pinned by ``tests/property/test_checkpoint_restart.py`` for the
+per-node loop, the fused kernels and the sharded tier.
 
 Wiring (see ``SynchronousEngine``/``BatchedEngine`` docs):
 
@@ -57,11 +57,10 @@ __all__ = [
 #: change; loaders refuse newer versions).
 CHECKPOINT_FORMAT = 1
 
-#: Engine kinds a checkpoint can come from.  The two per-node delivery
-#: cores share one schema ("pernode") — they are bit-identical, so a
-#: snapshot captured on the fast path may thaw on the general loop and
-#: vice versa.  The kernels on BatchedEngine have their own
-#: ("batched"), and the sharded tier its own ("sharded") — its payload
+#: Engine kinds a checkpoint can come from: SynchronousEngine's per-node
+#: loop ("pernode"; files captured on the retired fast-path core share
+#: this schema and thaw on the one loop), the kernels on BatchedEngine
+#: ("batched"), and the sharded tier ("sharded") — its payload
 #: holds a *frozen* plain-array kernel state (memmaps cannot ride in a
 #: deepcopy), thawed against a shard directory on resume.
 _KINDS = ("pernode", "batched", "sharded")
@@ -79,8 +78,8 @@ class EngineCheckpoint:
 
     kind: str
     superstep: int
-    #: True when the captured run carried fault or monitor state — the
-    #: resuming engine must then use the general delivery loop.
+    #: True when the captured run carried fault or monitor state.
+    #: Recorded and saved for format 1; no engine reads it.
     needs_general: bool
     #: Capture-side fingerprint (nodes, edges, strict, seed); validated
     #: against the resuming engine's topology on thaw.
@@ -297,10 +296,7 @@ def resume_engine(
     mutable memmaps go — a private temp dir when omitted).  The
     topology must be the one the capturing engine ran on — the engine
     validates the stored fingerprint on thaw.  Pass ``checkpointer`` to
-    keep snapshotting during the resumed leg.  A ``"pernode"`` snapshot
-    thaws on the fast delivery path unless its configuration needs the
-    general loop; to pick the core, build ``SynchronousEngine(topology,
-    factory, resume=checkpoint, fastpath=...)`` directly.
+    keep snapshotting during the resumed leg.
 
     Observability does not ride inside checkpoints (publishers hold
     file paths, registries live aggregation state), so a resumed run

@@ -23,24 +23,12 @@ supersteps over a fixed communication topology.  Delivery semantics:
 The engine is algorithm-agnostic; round semantics (the automaton's
 C/I/L/R/W/U/E states) live entirely inside the node programs.
 
-Two delivery cores implement these semantics (see docs/performance.md):
-
-* the **general loop** supports every feature — fault filters, tracing,
-  lenient mode, crash-stop — and pays per-message dispatch for it;
-* the **fast path** exploits the fault-free strict configuration: a CSR
-  neighbor layout (``Graph.to_csr``), a pool of reused inbox buffers, a
-  bytearray live-flag table instead of set membership, and — on
-  broadcast-only supersteps — fan-out as one vectorized gather over the
-  CSR ``indices`` array with per-receiver inboxes cut out as array
-  slices, instead of one Python-level append per delivered copy.
-
-The fast path is bit-identical to the general loop (same final program
-states, metrics, and superstep count — pinned by the property suite) and
-is selected automatically whenever ``faults`` and lenient mode are
-absent and any attached tracer samples its stream (see
-:mod:`repro.runtime.observe`).  Counters-only observability — automaton
-telemetry and the phase profiler — never forces the general loop, so
-runs stay inspectable at full speed.
+One delivery loop implements these semantics for every configuration —
+faults, tracing, monitors, lenient mode, crash-stop — and
+:meth:`SynchronousEngine.run` pauses the cyclic garbage collector around
+it (see docs/performance.md).  The algorithm wrappers run
+kernel-eligible configurations on :class:`BatchedEngine` instead, which
+is bit-identical and several times faster.
 """
 
 from __future__ import annotations
@@ -49,8 +37,6 @@ import gc
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from repro.errors import GraphError, MessagingViolation
 from repro.graphs.adjacency import Graph
@@ -66,14 +52,6 @@ __all__ = ["SynchronousEngine", "BatchedEngine", "RunResult", "ProgramFactory"]
 
 #: Builds the program for one node given its id.
 ProgramFactory = Callable[[int], NodeProgram]
-
-#: Shared empty inbox handed to nodes with no pending messages (the fast
-#: path materializes inboxes only for nodes that actually received).
-_EMPTY_INBOX: Tuple[Message, ...] = ()
-
-#: Below this many adjacency arcs the vectorized broadcast fan-out costs
-#: more in numpy call overhead than it saves; use the scalar loop.
-_VECTOR_MIN_ARCS = 2048
 
 
 def _edge_count(topology) -> int:
@@ -160,32 +138,20 @@ class SynchronousEngine:
         Optional :class:`~repro.runtime.observe.AutomatonTelemetry`
         collecting per-superstep automaton-state histograms, the state
         transition matrix and the convergence curve.  Counters-only —
-        it never touches delivery, so it is fast-path compatible and
-        bit-identical to a run without it.
+        it never touches delivery, so a run is bit-identical with or
+        without it.
     profiler:
         Optional :class:`~repro.runtime.observe.PhaseProfiler` timing
         the engine's per-superstep phases; the accumulated wall-clock
         seconds are folded into ``RunMetrics.phase_seconds`` at the end
-        of the run.  Fast-path compatible (two timer reads per phase
-        per superstep).
-    fastpath:
-        Allow the specialized fault-free delivery core.  It engages only
-        when ``faults is None``, ``strict`` is on, and any ``tracer`` is
-        sampled (``EventTracer.fastpath_compatible``); other
-        configurations fall back to the general loop.  Results are
-        identical either way.  Disable it to run the reference loop:
-        the algorithm wrappers' ``compute="general"`` mode does, and so
-        does ``benchmarks/bench_engine_scaling.py``'s flood probe.
+        of the run (two timer reads per phase per superstep).
     monitors:
         Optional sequence of runtime invariant monitors (see
         :mod:`repro.verify.monitors`).  Each gets ``begin_run`` after
         ``on_init`` and ``after_superstep`` at the end of every
         superstep, and may raise
-        :class:`~repro.verify.monitors.InvariantViolation`.  A monitored
-        run always executes on the general loop (the reference delivery
-        semantics — same policy as an unsampled tracer); passing no
-        monitors keeps the fast path, so an unmonitored run pays
-        nothing.
+        :class:`~repro.verify.monitors.InvariantViolation`.  An
+        unmonitored run pays nothing for them.
     checkpointer:
         Optional snapshot collector (see
         :mod:`repro.resilience.checkpoint`).  Any object with
@@ -194,14 +160,13 @@ class SynchronousEngine:
         full mid-run state at each due superstep *boundary* (before
         that superstep executes) and — when the superstep budget runs
         out with programs still live — once more at the stopping point,
-        so no completed work is ever lost.  Compatible with every
-        delivery core; capture cost is one deep copy of live state.
+        so no completed work is ever lost.  Capture cost is one deep
+        copy of live state.
     resume:
         Optional checkpoint to thaw instead of booting fresh: any
-        object with ``kind``, ``superstep``, ``needs_general`` and
-        ``restore() -> dict`` (see
-        :class:`repro.resilience.checkpoint.EngineCheckpoint`).  The
-        run continues from the captured boundary — same programs, RNG
+        object with ``kind``, ``superstep`` and ``restore() -> dict``
+        (see :class:`repro.resilience.checkpoint.EngineCheckpoint`).
+        The run continues from the captured boundary — same programs, RNG
         positions, undelivered inboxes, metrics, telemetry, fault and
         monitor state — and is bit-identical to a run that was never
         interrupted.  ``factory`` and ``seed`` are ignored on resume
@@ -221,7 +186,6 @@ class SynchronousEngine:
         tracer: Optional[EventTracer] = None,
         telemetry: Optional[AutomatonTelemetry] = None,
         profiler: Optional[PhaseProfiler] = None,
-        fastpath: bool = True,
         monitors: Optional[Sequence] = None,
         checkpointer=None,
         resume=None,
@@ -246,7 +210,6 @@ class SynchronousEngine:
         self.tracer = tracer
         self.telemetry = telemetry
         self.profiler = profiler
-        self.fastpath = fastpath
         self.monitors: Tuple = tuple(monitors) if monitors else ()
         self.checkpointer = checkpointer
         self.resume = resume
@@ -257,27 +220,18 @@ class SynchronousEngine:
                 f"SynchronousEngine can only resume 'pernode' checkpoints, "
                 f"got {getattr(resume, 'kind', None)!r}"
             )
-        # One CSR pass feeds every adjacency view the engine needs: the
-        # int arrays for vectorized fan-out, plain-int row lists for the
-        # scalar loop, and the tuple/frozenset views of the seed layout.
+        # Both adjacency views come from one CSR pass: ascending neighbor
+        # tuples for contexts and broadcast fan-out, frozensets for O(1)
+        # membership in the strict checker.
         indptr, indices = topology.to_csr()
-        self._indptr = indptr
-        self._indices = indices
         iptr = indptr.tolist()
         ind = indices.tolist()  # Python ints: faster to iterate than int64
-        self._iptr_list = iptr
-        self._nbr_lists: List[List[int]] = [
-            ind[iptr[u] : iptr[u + 1]] for u in range(n)
-        ]
         self._neighbor_map: Dict[int, Tuple[int, ...]] = {
-            u: tuple(row) for u, row in enumerate(self._nbr_lists)
+            u: tuple(ind[iptr[u] : iptr[u + 1]]) for u in range(n)
         }
-        # Frozen set views for O(1) membership in the strict checker.
         self._neighbor_sets: Dict[int, frozenset] = {
             u: frozenset(nbrs) for u, nbrs in self._neighbor_map.items()
         }
-        self._degs = np.diff(indptr)
-        self._deg_list: List[int] = self._degs.tolist()
         self._scratch_covered: Set[int] = set()
 
     # -- shared setup -----------------------------------------------------
@@ -306,7 +260,7 @@ class SynchronousEngine:
         }
 
     def _pernode_state(self, programs, contexts, inboxes, live, crashed, metrics):
-        """The loop state a checkpoint must capture (both per-node cores)."""
+        """The loop state a checkpoint must capture."""
         return {
             "programs": programs,
             "contexts": contexts,
@@ -323,7 +277,7 @@ class SynchronousEngine:
         """Reconstruct mid-run state from ``self.resume``.
 
         Restores the stateful collaborators (faults, monitors,
-        telemetry) onto the engine so both cores and the caller see the
+        telemetry) onto the engine so the loop and the caller see the
         checkpointed objects, and reattaches this engine's tracer to
         the restored contexts (tracers hold live file handles, so they
         are stripped at capture time).
@@ -358,45 +312,20 @@ class SynchronousEngine:
             int(self.resume.superstep),
         )
 
-    def _fastpath_engaged(self) -> bool:
-        """Whether :meth:`run` will select the fast delivery core.
-
-        Telemetry and the profiler never block it (they are read-only
-        over program state and superstep boundaries); a tracer blocks it
-        unless it samples (``EventTracer.fastpath_compatible``); any
-        invariant monitor forces the general loop (the reference
-        delivery semantics are what the monitors audit).
-        """
-        if self.monitors:
-            return False
-        if not (self.fastpath and self.strict and self.faults is None):
-            return False
-        if self.resume is not None and getattr(self.resume, "needs_general", False):
-            # The checkpoint carries fault or monitor state the fast
-            # path cannot honor; thaw on the general loop.
-            return False
-        tracer = self.tracer
-        return tracer is None or getattr(tracer, "fastpath_compatible", False)
-
     def run(self) -> RunResult:
         """Execute until every program halts or the budget is exhausted."""
-        if self._fastpath_engaged():
-            # The fast path's per-superstep garbage (inbox slices,
-            # messages, payloads) is acyclic, so refcounting frees all
-            # of it promptly and the cyclic collector only adds gen-2
-            # sweeps over the large long-lived adjacency structures.
-            # Pause it for the duration of the run (restoring the
-            # caller's setting) — worth ~25% on delivery-bound runs.
-            gc_was_enabled = gc.isenabled()
-            if gc_was_enabled:
-                gc.disable()
-            try:
-                result = self._run_fast()
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-        else:
+        # Per-superstep garbage (inboxes, messages, payloads) is acyclic,
+        # so refcounting frees it promptly and the cyclic collector only
+        # adds gen-2 sweeps over the long-lived programs and adjacency
+        # views.  Pause it for the run, restoring the caller's setting.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
             result = self._run_general()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         self._fold_registry(result)
         return result
 
@@ -418,338 +347,10 @@ class SynchronousEngine:
             {"engine": getattr(self, "_CHECKPOINT_KIND", "pernode")},
         )
 
-    # -- fast path --------------------------------------------------------
-
-    def _run_fast(self) -> RunResult:
-        """Fault-free strict-mode delivery core.
-
-        Invariants exploited (vs. the general loop):
-
-        * no fault filter — no per-copy verdict dispatch, no crashes, no
-          inbox reordering;
-        * strict mode — a broadcasting node sends exactly one message,
-          so a broadcast-only superstep delivers each arc at most once
-          and fan-out can be computed as a CSR gather;
-        * no tracer — contexts skip event plumbing.
-
-        Delivery runs in one of three tiers, chosen per superstep:
-
-        * **dense vector** — every node broadcast and nobody has halted:
-          per-receiver inboxes are slices of one object-array gather
-          over CSR ``indices`` with ``indptr`` itself as the offsets (no
-          masking, no cumsum);
-        * **sparse vector** — broadcast-only superstep whose estimated
-          copy count is a large fraction of the arcs: boolean compress
-          over the arc array, then slice fan-out;
-        * **scalar** — everything else: per-copy appends into pooled
-          inbox buffers, liveness read off a bytearray flag table.
-
-        Bit-identical to :meth:`_run_general` in this configuration:
-        same stepping order, same inbox ordering (ascending sender id —
-        CSR rows are sorted), same counters.
-        """
-        n = self.topology.num_nodes
-        resumed = self.resume is not None
-        restored_inboxes: List[List[Message]] = []
-        if resumed:
-            (
-                programs,
-                contexts,
-                restored_inboxes,
-                live,
-                _crashed,
-                metrics,
-                start_superstep,
-            ) = self._thaw()
-        else:
-            programs, contexts, live = self._boot()
-            # The general loop discards anything sent from ``on_init``
-            # when it installs a fresh outbox at superstep 0; mirror
-            # that here since this loop clears outboxes at delivery
-            # time instead.
-            for ctx in contexts:
-                if ctx._outbox:
-                    ctx._outbox.clear()
-            metrics = RunMetrics()
-            start_superstep = 0
-        telemetry = self.telemetry
-        prof = self.profiler
-        # Span-aware profilers (repro.obs.spans.SpanProfiler) expose a
-        # begin_superstep hook; look it up once so a plain PhaseProfiler
-        # adds zero per-superstep work.
-        span_begin = getattr(prof, "begin_superstep", None)
-        pub = self.publisher
-        if telemetry is not None and not resumed:
-            telemetry.begin_run(programs)
-
-        live_flags = bytearray(n)  # O(1) liveness, no set hashing
-        for u in live:
-            live_flags[u] = 1
-        live_np = np.zeros(n, dtype=bool)
-        live_np[live] = True
-        num_halted = n - len(live)
-
-        indices = self._indices
-        indptr = self._indptr
-        degs = self._degs
-        deg_list = self._deg_list
-        iptr_list = self._iptr_list
-        nbr_lists = self._nbr_lists
-        neighbor_sets = self._neighbor_sets
-        total_arcs = iptr_list[-1] if iptr_list else 0
-        use_vector = total_arcs >= _VECTOR_MIN_ARCS
-        # row_ids[k] = receiving row of arc k, for masking halted
-        # receivers with one gather instead of an np.repeat per step.
-        row_ids = (
-            np.repeat(np.arange(n, dtype=np.int64), degs) if use_vector else None
-        )
-        # Reused per-superstep numpy scratch (senders, payload sizes).
-        sent_np = np.zeros(n, dtype=bool)
-        sizes_np = np.zeros(n, dtype=np.int64)
-        out_objs = np.empty(n, dtype=object)
-
-        # inbox_store[u] is u's pending inbox (None = empty).  Consumed
-        # buffers are cleared and recycled through ``pool`` so steady
-        # state allocates no new per-node lists.
-        inbox_store: List[Optional[List[Message]]] = [None] * n
-        for u, box in enumerate(restored_inboxes):
-            if box:
-                inbox_store[u] = box
-        pool_cap = min(n, 4096)
-        pool: List[List[Message]] = [[] for _ in range(min(n, 1024))]
-        pool_append = pool.append
-        pool_pop = pool.pop
-
-        check_model = self._check_model
-        checkpointer = self.checkpointer
-        superstep = start_superstep
-
-        while live and superstep < self.max_supersteps:
-            if checkpointer is not None and checkpointer.due(superstep):
-                checkpointer.capture(
-                    "pernode",
-                    superstep,
-                    self._pernode_state(
-                        programs,
-                        contexts,
-                        [box or [] for box in inbox_store],
-                        live,
-                        set(),
-                        metrics,
-                    ),
-                    self._checkpoint_meta(),
-                )
-            metrics.begin_superstep(len(live))
-            if span_begin is not None:
-                span_begin(superstep)
-            if pub is not None and pub.ready():
-                pub.publish(_live_snapshot(superstep, len(live), metrics, telemetry))
-            if prof is not None:
-                _t0 = perf_counter()
-
-            # Stepping loop.  The strict single-message model check is
-            # inlined: a lone broadcast is always legal, a lone unicast
-            # needs only an adjacency test; multi-message outboxes take
-            # the full checker.  ``est`` accumulates the prospective
-            # copy count of a broadcast-only superstep to pick the
-            # delivery tier below.
-            out_senders: List[int] = []
-            out_boxes: List[List[Message]] = []
-            halted_now: List[int] = []
-            all_broadcast = True
-            est = 0
-            for u in live:
-                ctx = contexts[u]
-                ctx._superstep = superstep
-                prog = programs[u]
-                pending = inbox_store[u]
-                if pending is None:
-                    prog.on_superstep(ctx, _EMPTY_INBOX)
-                else:
-                    inbox_store[u] = None
-                    prog.on_superstep(ctx, pending)
-                    if len(pool) < pool_cap:
-                        pending.clear()
-                        pool_append(pending)
-                out = ctx._outbox
-                if out:
-                    if len(out) == 1:
-                        dest = out[0].dest
-                        if dest != BROADCAST:
-                            all_broadcast = False
-                            if dest not in neighbor_sets[u]:
-                                raise MessagingViolation(
-                                    f"node {u} addressed non-neighbor {dest}"
-                                )
-                        else:
-                            est += deg_list[u]
-                    else:
-                        all_broadcast = False
-                        check_model(u, out)
-                    out_senders.append(u)
-                    out_boxes.append(out)
-                if prog.halted:
-                    halted_now.append(u)
-
-            if prof is not None:
-                # The model check is inlined above, so its cost lands in
-                # "compute" here (the general loop meters it separately).
-                prof.add("compute", perf_counter() - _t0)
-            if telemetry is not None:
-                telemetry.after_superstep(superstep, programs, live)
-
-            if halted_now:
-                for u in halted_now:
-                    live_flags[u] = 0
-                    live_np[u] = False
-                num_halted += len(halted_now)
-                live = [u for u in live if live_flags[u]]
-
-            nsend = len(out_senders)
-            if not nsend:
-                superstep += 1
-                continue
-
-            if prof is not None:
-                _t0 = perf_counter()
-            if (
-                use_vector
-                and all_broadcast
-                and num_halted == 0
-                and nsend == n
-            ):
-                # Dense tier: every arc carries exactly one copy, so the
-                # compact delivery array is a single object gather over
-                # ``indices`` and the per-receiver offsets are ``indptr``
-                # verbatim — no sent mask, no compress, no cumsum.
-                for i in range(nsend):
-                    out = out_boxes[i]
-                    msg = out[0]
-                    out.clear()
-                    out_objs[out_senders[i]] = msg
-                    sizes_np[out_senders[i]] = msg.size()
-                metrics.messages_sent += nsend
-                metrics.messages_delivered += total_arcs
-                metrics.words_delivered += int((sizes_np * degs).sum())
-                compact = out_objs[indices].tolist()
-                for r in live:
-                    o0 = iptr_list[r]
-                    o1 = iptr_list[r + 1]
-                    if o0 != o1:
-                        inbox_store[r] = compact[o0:o1]
-            elif use_vector and all_broadcast and 5 * est >= 2 * total_arcs:
-                # Sparse vector tier: one gather over the CSR arc array,
-                # one boolean compress, then per-receiver inboxes cut
-                # out as list slices.  Per delivered copy the
-                # Python-level work is a C-speed pointer copy.
-                for i in range(nsend):
-                    u = out_senders[i]
-                    out = out_boxes[i]
-                    msg = out[0]
-                    out.clear()
-                    out_objs[u] = msg
-                    sent_np[u] = True
-                    sizes_np[u] = msg.size()
-                arc_deliver = sent_np[indices]
-                if num_halted:
-                    # Mask arcs whose receiving row is halted and count
-                    # per-sender live audiences for the word meter.
-                    arc_deliver &= live_np[row_ids]
-                    live_cs = np.concatenate(
-                        ([0], np.cumsum(live_np[indices]))
-                    )
-                    audience = live_cs[indptr[1:]] - live_cs[indptr[:-1]]
-                    metrics.messages_discarded_halted += int(
-                        ((degs - audience) * sent_np).sum()
-                    )
-                else:
-                    audience = degs
-                delivered_np = np.where(sent_np, audience, 0)
-                metrics.messages_sent += nsend
-                metrics.messages_delivered += int(delivered_np.sum())
-                metrics.words_delivered += int((sizes_np * delivered_np).sum())
-                cs = np.concatenate(([0], np.cumsum(arc_deliver)))
-                off = cs[indptr].tolist()
-                compact = out_objs[indices[arc_deliver]].tolist()
-                for r in live:
-                    o0 = off[r]
-                    o1 = off[r + 1]
-                    if o0 != o1:
-                        inbox_store[r] = compact[o0:o1]
-                sent_np[:] = False
-            else:
-                # Scalar tier for mixed unicast/broadcast supersteps,
-                # low-traffic rounds and small graphs: per-copy appends
-                # into pooled inbox buffers.
-                sent = delivered = words = discarded = 0
-                for i in range(nsend):
-                    sender = out_senders[i]
-                    msgs = out_boxes[i]
-                    for msg in msgs:
-                        sent += 1
-                        size = msg.size()
-                        dest = msg.dest
-                        if dest == BROADCAST:
-                            for r in nbr_lists[sender]:
-                                if live_flags[r]:
-                                    box = inbox_store[r]
-                                    if box is None:
-                                        box = pool_pop() if pool else []
-                                        inbox_store[r] = box
-                                    box.append(msg)
-                                    delivered += 1
-                                    words += size
-                                else:
-                                    discarded += 1
-                        elif live_flags[dest]:
-                            box = inbox_store[dest]
-                            if box is None:
-                                box = pool_pop() if pool else []
-                                inbox_store[dest] = box
-                            box.append(msg)
-                            delivered += 1
-                            words += size
-                        else:
-                            discarded += 1
-                    msgs.clear()
-                metrics.messages_sent += sent
-                metrics.messages_delivered += delivered
-                metrics.words_delivered += words
-                metrics.messages_discarded_halted += discarded
-
-            if prof is not None:
-                prof.add("delivery", perf_counter() - _t0)
-            superstep += 1
-
-        if checkpointer is not None and live:
-            # Budget exhausted mid-run: capture the stopping point so a
-            # supervisor can extend the budget without losing work.
-            checkpointer.capture(
-                "pernode",
-                superstep,
-                self._pernode_state(
-                    programs,
-                    contexts,
-                    [box or [] for box in inbox_store],
-                    live,
-                    set(),
-                    metrics,
-                ),
-                self._checkpoint_meta(),
-            )
-        if prof is not None:
-            metrics.phase_seconds.update(prof.as_dict())
-        return RunResult(
-            programs=programs,
-            metrics=metrics,
-            completed=not live,
-            supersteps=superstep,
-        )
-
-    # -- general loop ------------------------------------------------------
+    # -- delivery loop -----------------------------------------------------
 
     def _run_general(self) -> RunResult:
-        """Reference delivery loop: faults, tracing, lenient mode."""
+        """The delivery loop: faults, crash-stop, tracing, lenient mode."""
         n = self.topology.num_nodes
         resumed = self.resume is not None
         if resumed:
@@ -939,7 +540,7 @@ class SynchronousEngine:
         """Enforce one message per neighbor per superstep, neighbors only."""
         neighbor_set = self._neighbor_sets[sender]
         if len(outbox) == 1:
-            # Fast path (the automaton programs send at most one message
+            # Common case (the automaton programs send at most one message
             # per superstep): a lone broadcast covers each neighbor once
             # by construction; a lone unicast only needs adjacency.
             msg = outbox[0]
@@ -952,7 +553,7 @@ class SynchronousEngine:
             if msg.dest == BROADCAST:
                 break
         else:
-            # All-unicast fast path: set compression detects duplicate
+            # All-unicast shortcut: set compression detects duplicate
             # targets (fewer distinct dests than messages) and a subset
             # test validates adjacency, with no per-message coverage
             # bookkeeping.  On violation fall through to the exact loop

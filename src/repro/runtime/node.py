@@ -75,10 +75,9 @@ class Context:
     # -- engine side ------------------------------------------------------
 
     def _begin_superstep(self, superstep: int) -> None:
-        # Clearing (not rebinding) lets the fast delivery path read
-        # ``_outbox`` in place and reuse the same list every superstep;
-        # engines that ``_drain_outbox`` instead see an already-empty
-        # fresh list here and the clear is a no-op.
+        # Messages leave only through ``_drain_outbox``; anything still
+        # queued here was sent outside a superstep (from ``on_init``)
+        # and is dropped.
         self._superstep = superstep
         outbox = self._outbox
         if outbox:

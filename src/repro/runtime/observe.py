@@ -3,7 +3,7 @@
 The paper states every cost claim in *rounds to convergence* of the
 C/I/L/R/W/U/E/D automaton, yet a bare run exposes only end-of-run
 counters.  This module makes runs inspectable without giving up the
-fast delivery path (docs/performance.md):
+fast kernels (docs/performance.md):
 
 * **Trace sinks** (:class:`TraceSink`) — pluggable backends for the
   event stream an :class:`~repro.runtime.trace.EventTracer` produces:
@@ -14,29 +14,26 @@ fast delivery path (docs/performance.md):
 * **Automaton telemetry** (:class:`AutomatonTelemetry`) — per-superstep
   histogram of automaton states, the state-transition matrix, and the
   fraction-of-work-done convergence curve.  Collected by the engines as
-  cheap counter updates over the stepped programs; it never touches the
-  delivery path, so a counters-only configuration keeps the fast path
-  engaged.
+  cheap counter updates over the stepped programs; it never touches
+  delivery, so a counters-only configuration keeps the
+  whole-population kernels eligible.
 * **Phase profiler** (:class:`PhaseProfiler`) — wall-clock accounting of
   the engine's per-superstep phases (compute / delivery / model-check /
   fault-injection), folded into ``RunMetrics.phase_seconds`` at the end
   of a run and rendered by ``RunMetrics.report()``.
 
-Which configurations keep the fast path (docs/observability.md):
+Which configurations keep the kernels eligible (docs/observability.md):
 
-=============================================  ==========
-configuration                                  fast path
-=============================================  ==========
+=============================================  =======
+configuration                                  kernels
+=============================================  =======
 telemetry only (``AutomatonTelemetry``)        yes
 profiler only (``PhaseProfiler``)              yes
-``EventTracer`` with per-kind sampling set     yes
-full (unsampled) ``EventTracer``, any sink     no
-=============================================  ==========
+any ``EventTracer``, sampled or not            no
+=============================================  =======
 
-The trace event stream is bit-identical on both delivery cores; the
-general loop is retained for unsampled tracers as the reference
-configuration, so a complete stream is always captured against the
-reference delivery semantics.
+A kernel run emits no trace events, so a traced run executes on
+:class:`~repro.runtime.engine.SynchronousEngine`'s per-node loop.
 """
 
 from __future__ import annotations
@@ -253,8 +250,8 @@ class AutomatonTelemetry:
       arcs for DiMa2Ed).
 
     Collection is read-only over program state and never touches message
-    delivery, so telemetry keeps the engine's fast path engaged and runs
-    are bit-identical with it on or off (pinned by the property suite).
+    delivery, so runs are bit-identical with it on or off (pinned by the
+    property suite).
     The object is picklable, so checkpoints carry it mid-run.
     """
 
@@ -461,8 +458,7 @@ class PhaseProfiler:
 
     The engines stamp ``compute`` (stepping the node programs),
     ``delivery`` (fan-out and inbox construction), ``model_check`` (the
-    strict one-message-per-neighbor validator; folded into ``compute``
-    on the fast path, where the check is inlined) and ``faults``
+    strict one-message-per-neighbor validator) and ``faults``
     (crash-stop processing and inbox reordering) around each superstep.
     Timings land in ``RunMetrics.phase_seconds`` at the end of the run
     and are rendered by ``RunMetrics.report()``.

@@ -12,9 +12,8 @@ in-memory ring (``capacity``), and optionally tees every retained event
 into a :class:`~repro.runtime.observe.TraceSink` — e.g. a buffered JSONL
 file for ``repro trace record``.  Per-kind sampling (``sample``) thins
 the stream *before* either destination, which is what lets tracing stay
-enabled at scale: a sampled tracer is declared lossy by contract, so the
-engine keeps its fast delivery path (an unsampled tracer forces the
-reference general loop; see docs/observability.md).
+enabled at scale: a sampled tracer is declared lossy by contract (see
+docs/observability.md).
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ class EventTracer:
         Sampling is deterministic (counter-based), so sampled runs stay
         reproducible.  Events thinned away are counted in
         :attr:`sampled_out` and never reach the ring or the sink.
-        A sampling tracer is :attr:`fastpath_compatible`.
     """
 
     def __init__(
@@ -80,20 +78,6 @@ class EventTracer:
         #: Events thinned away by per-kind sampling.
         self.sampled_out = 0
         self._seen_by_kind: Dict[str, int] = {}
-
-    @property
-    def fastpath_compatible(self) -> bool:
-        """Whether the engine may keep its fast delivery path.
-
-        True when per-kind sampling is configured: the stream is lossy
-        by contract, so the engine runs wherever it is fastest.  A full
-        (unsampled) tracer forces the reference general loop, which
-        guarantees the complete stream against the reference delivery
-        semantics.  Both cores produce bit-identical event streams —
-        pinned by the property suite — so this only selects *where* the
-        run executes, never what is recorded.
-        """
-        return bool(self.sample)
 
     def record(self, superstep: int, node: int, kind: str, data: Dict[str, Any]) -> None:
         """Append an event, applying sampling, eviction, and the sink."""

@@ -1,14 +1,12 @@
 """Differential cross-tier equivalence runner.
 
-The repo carries five executions of the same algorithm semantics.  The
-four synchronous ones are ``compute=`` modes of the algorithm wrappers:
+The repo carries four executions of the same algorithm semantics.  The
+three synchronous ones are ``compute=`` modes of the algorithm wrappers:
 
-* ``general`` — the per-node programs on the engine's general delivery
-  loop (``compute="general"``), the reference tier;
-* ``fastpath`` — the same programs on the engine's fast-path delivery
-  (``compute="pernode"``);
+* ``general`` — the per-node programs on the engine's delivery loop
+  (``compute="general"``), the reference tier;
 * ``vectorized`` — the fused palette-plane kernels
-  (:mod:`repro.core.vectorized`);
+  (:mod:`repro.core.vectorized`; ``compute="auto"``);
 * ``sharded`` — the vectorized kernels hash-partitioned over
   disk-backed shards (:class:`~repro.runtime.sharded.ShardedEngine`);
   skipped where no spill directory is writable or memmaps are
@@ -16,7 +14,7 @@ four synchronous ones are ``compute=`` modes of the algorithm wrappers:
 * ``async`` — the per-node programs under the α-synchronizer
   (:class:`~repro.runtime.async_engine.AsyncEngine`).
 
-All five are documented as bit-identical.  This module makes that claim
+All four are documented as bit-identical.  This module makes that claim
 *checkable on demand* for any (algorithm, graph, seed) configuration:
 :func:`diff_tiers` runs a subset of tiers and diffs every comparable
 field — the coloring itself, round and superstep counts, the message
@@ -26,20 +24,20 @@ diverging superstep** is recovered.
 
 Comparable field sets differ by tier:
 
-==========  ========  ==========  =============  ==========
-field       fastpath  vectorized  async          notes
-==========  ========  ==========  =============  ==========
-colors      yes       yes         yes            exact dict
-rounds      yes       yes         yes
-supersteps  yes       yes         yes (pulses)
-metrics     all       all         all but        every
-                                  ``supersteps``  ``as_dict``
-                                                 counter
-live nodes  yes       yes         —              per-superstep
-                                                 trace
-telemetry   yes       yes         —              async runs
-                                                 untelemetered
-==========  ========  ==========  =============  ==========
+==========  ==========  =============  ==========
+field       vectorized  async          notes
+==========  ==========  =============  ==========
+colors      yes         yes            exact dict
+rounds      yes         yes
+supersteps  yes         yes (pulses)
+metrics     all         all but        every
+                        ``supersteps``  ``as_dict``
+                                       counter
+live nodes  yes         —              per-superstep
+                                       trace
+telemetry   yes         —              async runs
+                                       untelemetered
+==========  ==========  =============  ==========
 
 ``sharded`` compares on the same field set as ``vectorized`` (all
 scalar counters, the live-node trace and full telemetry).
@@ -82,7 +80,6 @@ __all__ = [
 ALGORITHMS = ("alg1", "dima2ed")
 TIERS = (
     "general",
-    "fastpath",
     "vectorized",
     "sharded",
     "async",
@@ -92,8 +89,7 @@ TIERS = (
 #: mode.
 _WRAPPER_TIERS: Dict[str, str] = {
     "general": "general",
-    "fastpath": "pernode",
-    "vectorized": "vectorized",
+    "vectorized": "auto",
     "sharded": "sharded",
 }
 

@@ -194,17 +194,37 @@ class Counterexample:
         return path
 
     def run(self, *, tiers: Optional[Sequence[str]] = None) -> DiffReport:
-        """Re-execute the recorded configuration (see :func:`replay`)."""
-        return diff_tiers(
+        """Re-execute the recorded configuration (see :func:`replay`).
+
+        ``tiers`` overrides the recorded set.  A recorded tier this
+        checkout has retired is not run: the report lists it under
+        ``skipped`` with the reason.
+        """
+        retired: Dict[str, str] = {}
+        if tiers is None:
+            tiers = [t for t in self.tiers if t not in _RETIRED_TIERS]
+            retired = {
+                t: _RETIRED_TIERS[t] for t in self.tiers if t in _RETIRED_TIERS
+            }
+        report = diff_tiers(
             self.graph(),
             algorithm=self.algorithm,
             seed=self.seed,
-            tiers=list(tiers) if tiers is not None else list(self.tiers),
+            tiers=list(tiers),
         )
+        report.skipped.update(retired)
+        return report
 
 
 #: The keys a counterexample file cannot do without.
 _REQUIRED = ("algorithm", "seed", "tiers", "edges")
+
+#: Tiers a saved counterexample may list that this checkout no longer
+#: runs -> the skip reason its replay reports.
+_RETIRED_TIERS: Dict[str, str] = {
+    "fastpath": "retired with the engine's fast-path delivery core; "
+    "its per-node programs run on the general tier",
+}
 
 
 def _edge(edge) -> Tuple[int, int]:

@@ -22,10 +22,9 @@ paper's correctness argument actually rests on:
 Attach monitors to a run with ``color_edges(graph, monitors=[...])``,
 ``strong_color_arcs(digraph, monitors=[...])`` or directly on
 ``SynchronousEngine(..., monitors=[...])``.  A monitored run always
-executes on the engine's **general delivery loop** — the reference
-semantics, same policy as full-fidelity tracing (see
-docs/observability.md) — so an unmonitored run keeps the fast and
-batched paths, with zero observer effect (pinned by the property
+executes on the engine's per-node delivery loop, like full-fidelity
+tracing (see docs/observability.md); an unmonitored run keeps the
+kernels eligible, with zero observer effect (pinned by the property
 suite).  On the first violation the offending monitor raises
 :class:`InvariantViolation`, which records the monitor name and the
 superstep — the differential harness (:mod:`repro.verify.differential`)
@@ -106,9 +105,9 @@ class InvariantMonitor:
     """Base class: a per-superstep observer that raises on violation.
 
     The engine calls :meth:`begin_run` once after ``on_init`` and
-    :meth:`after_superstep` at the **end** of every superstep of the
-    general loop — after stepping, delivery and inbox reordering, so the
-    monitor sees the same post-superstep world the next superstep will.
+    :meth:`after_superstep` at the **end** of every superstep — after
+    stepping, delivery and inbox reordering, so the monitor sees the
+    same post-superstep world the next superstep will.
     Monitors are read-only over all arguments; a monitor instance meters
     one run (attach fresh instances per run).
     """

@@ -6,13 +6,13 @@ checkpoint produces *exactly* the run that was never interrupted —
 same coloring (order-independent digest), same superstep/round count,
 same metrics dict, across every delivery core:
 
-* the general per-node loop (``fastpath=False``),
-* the fast path (``fastpath=True``),
-* the fused plane kernels (``BatchedEngine``).
+* the per-node loop (``SynchronousEngine``, kind ``"pernode"``),
+* the fused plane kernels (``BatchedEngine``, kind ``"batched"``),
+* the sharded tier (``ShardedEngine``, kind ``"sharded"``).
 
-The per-node cores share one checkpoint schema (kind ``"pernode"``), so
-a snapshot captured on the fast path must also thaw on the general loop
-and vice versa — that cross-core property is pinned here too.
+A ``"pernode"`` file captured on the retired fast-path core must still
+resume on the one loop; ``tests/unit/resilience/test_checkpoint_golden.py``
+pins that with a golden file.
 
 Graphs come from the three random families the paper's experiments use
 (Erdős–Rényi, scale-free, small-world), so all message-mix regimes of
@@ -89,11 +89,10 @@ class TestPernodeKillRestore:
         seed=st.integers(min_value=0, max_value=2**16),
         kill_at=st.floats(min_value=0.05, max_value=0.95),
         every=st.integers(min_value=1, max_value=9),
-        fastpath=st.booleans(),
     )
-    def test_restore_is_bit_identical(self, graph, seed, kill_at, every, fastpath):
+    def test_restore_is_bit_identical(self, graph, seed, kill_at, every):
         factory = EdgeColoringProgram
-        base = SynchronousEngine(graph, factory, seed=seed, fastpath=fastpath).run()
+        base = SynchronousEngine(graph, factory, seed=seed).run()
         assert base.completed
 
         kill = _kill_fraction_to_superstep(kill_at, base.supersteps)
@@ -102,7 +101,6 @@ class TestPernodeKillRestore:
             graph,
             factory,
             seed=seed,
-            fastpath=fastpath,
             max_supersteps=kill,
             checkpointer=Checkpointer(every, store),
         ).run()
@@ -117,37 +115,7 @@ class TestPernodeKillRestore:
         assert checkpoint is not None
         assert checkpoint.kind == "pernode"
 
-        resumed = SynchronousEngine(
-            graph, factory, fastpath=fastpath, resume=checkpoint
-        ).run()
-        assert _fingerprint_pernode(resumed) == _fingerprint_pernode(base)
-
-    @RELAXED
-    @given(
-        graph=family_graphs(max_nodes=24),
-        seed=st.integers(min_value=0, max_value=2**16),
-        kill_at=st.floats(min_value=0.1, max_value=0.9),
-        capture_fast=st.booleans(),
-    )
-    def test_cross_core_thaw(self, graph, seed, kill_at, capture_fast):
-        """A fast-path snapshot thaws on the general loop and vice versa."""
-        factory = EdgeColoringProgram
-        base = SynchronousEngine(graph, factory, seed=seed).run()
-        kill = _kill_fraction_to_superstep(kill_at, base.supersteps)
-        store = CheckpointStore()
-        killed = SynchronousEngine(
-            graph,
-            factory,
-            seed=seed,
-            fastpath=capture_fast,
-            max_supersteps=kill,
-            checkpointer=Checkpointer(3, store),
-        ).run()
-        if killed.completed:
-            return
-        resumed = SynchronousEngine(
-            graph, factory, fastpath=not capture_fast, resume=store.latest()
-        ).run()
+        resumed = SynchronousEngine(graph, factory, resume=checkpoint).run()
         assert _fingerprint_pernode(resumed) == _fingerprint_pernode(base)
 
     @RELAXED

@@ -7,11 +7,8 @@ experiment harnesses is that **watching a run never changes it**:
   leaves colors, rounds, and every metric *counter* bit-identical to an
   unobserved run (wall-clock ``phase_seconds`` is the one sanctioned
   addition, and only when a profiler is attached);
-* the telemetry itself is engine-independent: the fast delivery core
-  and the general loop fill identical collectors for the same seed;
-* a *sampled* tracer (the fast-path-compatible kind) records the exact
-  same thinned event stream on both delivery cores — sampling is
-  deterministic, so lossy-by-contract never means run-to-run lossy.
+* the telemetry itself is engine-independent: the per-node loop and
+  the fused kernels fill identical collectors for the same seed.
 """
 
 import pytest
@@ -19,11 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dima2ed import strong_color_arcs
-from repro.core.edge_coloring import EdgeColoringProgram, color_edges
+from repro.core.edge_coloring import color_edges
 from repro.graphs.generators import erdos_renyi_avg_degree, scale_free, small_world
-from repro.runtime.engine import SynchronousEngine
 from repro.runtime.observe import AutomatonTelemetry, PhaseProfiler
-from repro.runtime.trace import EventTracer
 
 RELAXED = settings(
     max_examples=15,
@@ -95,30 +90,9 @@ class TestEngineIndependence:
     @RELAXED
     @given(g=family_graphs(), seed=st.integers(0, 2**16))
     def test_both_cores_fill_identical_telemetry(self, g, seed):
-        fast_t = AutomatonTelemetry()
-        slow_t = AutomatonTelemetry()
-        fast = color_edges(g, seed=seed, telemetry=fast_t, compute="pernode")
-        slow = color_edges(g, seed=seed, telemetry=slow_t, compute="general")
-        assert fast.colors == slow.colors
-        assert fast_t.to_dict() == slow_t.to_dict()
-
-    @RELAXED
-    @given(g=family_graphs(max_nodes=32), seed=st.integers(0, 2**16))
-    def test_sampled_tracer_streams_identical_across_cores(self, g, seed):
-        sample = {"*": 3, "invite": 2}
-        fast_tr = EventTracer(sample=sample)
-        slow_tr = EventTracer(sample=sample)
-        fast_e = SynchronousEngine(
-            g, EdgeColoringProgram, seed=seed, tracer=fast_tr, fastpath=True
-        )
-        slow_e = SynchronousEngine(
-            g, EdgeColoringProgram, seed=seed, tracer=slow_tr, fastpath=False
-        )
-        # The sampled tracer keeps the fast engine on its fast path ...
-        assert fast_e._fastpath_engaged()
-        assert not slow_e._fastpath_engaged()
-        fast_e.run()
-        slow_e.run()
-        # ... and both cores record the exact same thinned stream.
-        assert list(fast_tr) == list(slow_tr)
-        assert fast_tr.sampled_out == slow_tr.sampled_out
+        kernel_t = AutomatonTelemetry()
+        pernode_t = AutomatonTelemetry()
+        kernel = color_edges(g, seed=seed, telemetry=kernel_t, compute="auto")
+        pernode = color_edges(g, seed=seed, telemetry=pernode_t, compute="general")
+        assert kernel.colors == pernode.colors
+        assert kernel_t.to_dict() == pernode_t.to_dict()

@@ -101,7 +101,7 @@ class TestWrapperEquivalence:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_alg1_sharded_bit_identical(self, family, shards):
         g = FAMILIES[family](7)
-        vec = color_edges(g, seed=7, compute="vectorized")
+        vec = color_edges(g, seed=7, compute="auto")
         sharded = color_edges(g, seed=7, compute="sharded", shards=shards)
         assert sharded.colors == vec.colors
         assert sharded.rounds == vec.rounds
@@ -119,7 +119,7 @@ class TestWrapperEquivalence:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_dima2ed_sharded_bit_identical(self, family, shards):
         d = FAMILIES[family](5).to_directed()
-        vec = strong_color_arcs(d, seed=5, compute="vectorized")
+        vec = strong_color_arcs(d, seed=5, compute="auto")
         sharded = strong_color_arcs(d, seed=5, compute="sharded", shards=shards)
         assert sharded.colors == vec.colors
         assert sharded.rounds == vec.rounds
@@ -136,7 +136,7 @@ class TestWrapperEquivalence:
 
     def test_shard_fields_absent_on_other_tiers(self):
         g = FAMILIES["er"](11)
-        vec = color_edges(g, seed=11, compute="vectorized")
+        vec = color_edges(g, seed=11, compute="auto")
         assert "shard_workers" not in vec.metrics.to_dict()
         assert "cross_shard_bytes" not in vec.metrics.to_dict()
 

@@ -50,7 +50,7 @@ def _assert_same(got, want):
 def test_alg1_vectorized_bit_identical(family, seed):
     g = FAMILIES[family](seed)
     reference = color_edges(g, seed=seed, compute="general")
-    vectorized = color_edges(g, seed=seed, compute="vectorized")
+    vectorized = color_edges(g, seed=seed, compute="auto")
     _assert_same(vectorized, reference)
     assert vectorized.palette == reference.palette
 
@@ -60,7 +60,7 @@ def test_alg1_vectorized_bit_identical(family, seed):
 def test_dima2ed_vectorized_bit_identical(family, seed):
     d = FAMILIES[family](seed).to_directed()
     reference = strong_color_arcs(d, seed=seed, compute="general")
-    vectorized = strong_color_arcs(d, seed=seed, compute="vectorized")
+    vectorized = strong_color_arcs(d, seed=seed, compute="auto")
     _assert_same(vectorized, reference)
 
 
@@ -72,7 +72,7 @@ def test_alg1_strategy_combinations(color_strategy, responder_strategy):
         color_strategy=color_strategy, responder_strategy=responder_strategy
     )
     reference = color_edges(g, seed=7, params=params, compute="general")
-    vectorized = color_edges(g, seed=7, params=params, compute="vectorized")
+    vectorized = color_edges(g, seed=7, params=params, compute="auto")
     _assert_same(vectorized, reference)
 
 
@@ -81,5 +81,5 @@ def test_dima2ed_channel_strategies(channel_strategy):
     d = FAMILIES["er"](5).to_directed()
     params = StrongColoringParams(channel_strategy=channel_strategy)
     reference = strong_color_arcs(d, seed=5, params=params, compute="general")
-    vectorized = strong_color_arcs(d, seed=5, params=params, compute="vectorized")
+    vectorized = strong_color_arcs(d, seed=5, params=params, compute="auto")
     _assert_same(vectorized, reference)

@@ -10,6 +10,7 @@ kernel telemetry stream is byte-for-byte the per-node one.
 
 import inspect
 import json
+import re
 
 import pytest
 
@@ -38,13 +39,9 @@ class TestBatchedEligible:
     def test_default_configuration_is_eligible(self):
         assert batched_eligible(**ELIGIBLE)
 
-    def test_compute_pernode_disables(self):
-        assert not batched_eligible(**{**ELIGIBLE, "compute": "pernode"})
-        assert not batched_eligible(**{**ELIGIBLE, "compute": "general"})
-
     def test_compute_batched_same_gates(self):
         # Pinning a kernel changes which one runs, never the gates.
-        for compute in ("vectorized", "sharded"):
+        for compute in ("auto", "sharded"):
             assert batched_eligible(**{**ELIGIBLE, "compute": compute})
             assert not batched_eligible(
                 **{**ELIGIBLE, "compute": compute, "strict": False}
@@ -70,9 +67,10 @@ class TestBatchedEligible:
             batched_eligible(**{**ELIGIBLE, "compute": "nope"})
 
     def test_compute_is_the_only_core_selector(self):
-        # The engine keeps ``fastpath=`` as its own switch; no wrapper,
-        # gate or resilience entry point takes it.
+        # No wrapper, gate, engine or resilience entry point takes a
+        # ``fastpath=`` switch.
         from repro.resilience import resume_engine, supervise_edge_coloring
+        from repro.runtime.engine import SynchronousEngine
 
         assert "general" in COMPUTE_MODES
         for entry in (
@@ -81,6 +79,7 @@ class TestBatchedEligible:
             batched_eligible,
             supervise_edge_coloring,
             resume_engine,
+            SynchronousEngine,
         ):
             params = inspect.signature(entry).parameters
             assert "fastpath" not in params, entry.__name__
@@ -92,6 +91,19 @@ class TestBatchedEligible:
             assert retired not in COMPUTE_MODES
             with pytest.raises(ConfigurationError, match="compute must be one of"):
                 batched_eligible(**{**ELIGIBLE, "compute": retired})
+
+    def test_retired_pernode_and_vectorized_modes_raise(self):
+        # ``"pernode"`` selected the deleted fast-path core and
+        # ``"vectorized"`` was an alias for ``"auto"``; both now fail
+        # with the error that lists the modes.
+        g = erdos_renyi_avg_degree(20, 3.0, seed=0)
+        for retired in ("pernode", "vectorized"):
+            assert retired not in COMPUTE_MODES
+            message = f"compute must be one of {COMPUTE_MODES}, got {retired!r}"
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                batched_eligible(**{**ELIGIBLE, "compute": retired})
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                color_edges(g, seed=0, compute=retired)
 
 
 @pytest.fixture
@@ -126,8 +138,8 @@ class TestSilentFallback:
         assert res.colors
 
     def test_sampled_tracer_also_falls_back(self, forbid_kernels):
-        # A sampling tracer keeps the *delivery* fast path, but the
-        # kernels emit no events at all, so any tracer gates them.
+        # The kernels emit no events at all, so any tracer gates them,
+        # sampled or not.
         g = erdos_renyi_avg_degree(20, 3.0, seed=0)
         tracer = EventTracer(64, sample={"*": 10})
         res = color_edges(g, seed=0, tracer=tracer)
@@ -149,8 +161,8 @@ class TestSilentFallback:
         assert res.colors
 
     def test_fastpath_false_falls_back(self, forbid_kernels):
-        # ``compute="general"`` is how the wrappers turn the engine's
-        # fast path off; they take no ``fastpath=`` keyword.
+        # ``compute="general"`` is how the wrappers keep the kernels out;
+        # they take no ``fastpath=`` keyword.
         g = erdos_renyi_avg_degree(20, 3.0, seed=0)
         res = color_edges(g, seed=0, compute="general")
         assert res.colors
@@ -160,8 +172,8 @@ class TestSilentFallback:
 
     def test_general_mode_runs_the_general_loop(self, forbid_kernels):
         # A kernel-eligible graph and configuration: only the mode keeps
-        # the kernels out, and only the general loop meters the model
-        # check as its own phase.
+        # the kernels out, and the per-node loop meters the model check
+        # as its own phase.
         g = erdos_renyi_avg_degree(20, 3.0, seed=0)
         assert batched_eligible(**ELIGIBLE)
         for entry, graph in (
@@ -170,18 +182,10 @@ class TestSilentFallback:
         ):
             general = entry(graph, seed=0, compute="general", profiler=PhaseProfiler())
             assert {"delivery", "model_check"} <= set(general.metrics.phase_seconds)
-            fast = entry(graph, seed=0, compute="pernode", profiler=PhaseProfiler())
-            assert "model_check" not in fast.metrics.phase_seconds
-            assert fast.colors == general.colors
-
-    def test_compute_pernode_falls_back(self, forbid_kernels):
-        g = erdos_renyi_avg_degree(20, 3.0, seed=0)
-        res = color_edges(g, seed=0, compute="pernode")
-        assert res.colors
 
     def test_dima2ed_gates_mirror_alg1(self, forbid_kernels):
         d = erdos_renyi_avg_degree(20, 3.0, seed=0).to_directed()
-        assert strong_color_arcs(d, seed=0, compute="pernode").colors
+        assert strong_color_arcs(d, seed=0, compute="general").colors
         assert strong_color_arcs(d, seed=0, tracer=EventTracer(64)).colors
         assert strong_color_arcs(
             d, seed=0, params=StrongColoringParams(recovery=True)
@@ -202,8 +206,8 @@ class TestBatchedTelemetry:
     def test_alg1_telemetry_byte_identical(self, seed):
         g = erdos_renyi_avg_degree(60, 5.0, seed=seed)
         per_node, batched = AutomatonTelemetry(), AutomatonTelemetry()
-        a = color_edges(g, seed=seed, compute="pernode", telemetry=per_node)
-        b = color_edges(g, seed=seed, compute="vectorized", telemetry=batched)
+        a = color_edges(g, seed=seed, compute="general", telemetry=per_node)
+        b = color_edges(g, seed=seed, compute="auto", telemetry=batched)
         assert json.dumps(per_node.to_dict()) == json.dumps(batched.to_dict())
         assert a.metrics.to_dict() == b.metrics.to_dict()
 
@@ -211,18 +215,17 @@ class TestBatchedTelemetry:
     def test_dima2ed_telemetry_byte_identical(self, seed):
         d = erdos_renyi_avg_degree(40, 4.0, seed=seed).to_directed()
         per_node, batched = AutomatonTelemetry(), AutomatonTelemetry()
-        a = strong_color_arcs(d, seed=seed, compute="pernode", telemetry=per_node)
-        b = strong_color_arcs(d, seed=seed, compute="vectorized", telemetry=batched)
+        a = strong_color_arcs(d, seed=seed, compute="general", telemetry=per_node)
+        b = strong_color_arcs(d, seed=seed, compute="auto", telemetry=batched)
         assert json.dumps(per_node.to_dict()) == json.dumps(batched.to_dict())
         assert a.metrics.to_dict() == b.metrics.to_dict()
 
 
 class TestSelectBackend:
-    """Backend dispatch: explicit pins are honored, and ``"auto"`` takes
+    """Backend dispatch: the sharded pin is honored, and ``"auto"`` takes
     the vectorized kernels (never the opt-in sharded tier)."""
 
     def test_explicit_pins(self):
-        assert select_backend("vectorized") == "vectorized"
         assert select_backend("sharded") == "sharded"
 
     def test_auto_routes_to_a_vec_kernel(self, monkeypatch):

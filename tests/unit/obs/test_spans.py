@@ -124,8 +124,8 @@ class TestEngineIntegration:
 
         g = erdos_renyi_avg_degree(60, 4.0, seed=1)
         prof = SpanProfiler()
-        result = color_edges(g, seed=0, compute="pernode", profiler=prof)
-        # the per-node loops announce every superstep
+        result = color_edges(g, seed=0, compute="general", profiler=prof)
+        # the per-node loop announces every superstep
         assert prof.superstep_count == result.supersteps
         assert _nesting_ok(prof.to_speedscope()["profiles"][0]["events"])
 

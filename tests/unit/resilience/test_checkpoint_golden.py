@@ -1,12 +1,17 @@
 """Golden format-1 checkpoint files.
 
-All three files hold the same Algorithm 1 run (the 12-node graph below,
+All four files hold the same Algorithm 1 run (the 12-node graph below,
 seed 3), killed at superstep 31 of 60 and saved with
 :meth:`EngineCheckpoint.save`:
 
 * ``golden/alg1-vectorized-format1.ckpt`` was captured on the fused
   plane kernel, which still ships, so it must resume to the
   uninterrupted run;
+* ``golden/alg1-pernode-format1.ckpt`` was captured on the per-node
+  programs of ``prepare_run(ALG1, ...)`` while ``SynchronousEngine``
+  still had a separate fast-path delivery core; that core shared the
+  ``"pernode"`` schema, so the file must resume on the one remaining
+  loop to the uninterrupted run;
 * ``golden/alg1-bigint-format1.ckpt`` was captured on the retired
   per-superstep bigint kernel (``repro.core.batched.Alg1Kernel``) and
   ``golden/alg1-numba-format1.ckpt`` on the retired JIT kernel
@@ -18,11 +23,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.batched import prepare_run
+from repro.core.edge_coloring import ALG1, EdgeColoringParams
 from repro.core.vectorized import Alg1VecKernel
 from repro.errors import ConfigurationError
 from repro.graphs.adjacency import Graph
 from repro.resilience import load_checkpoint, resume_engine
-from repro.runtime.engine import BatchedEngine
+from repro.runtime.engine import BatchedEngine, SynchronousEngine
 from repro.types import canonical_edge
 from repro.verify.differential import colors_digest
 
@@ -70,6 +77,22 @@ class TestGoldenCheckpoints:
         assert run.completed
         assert run.supersteps == SUPERSTEPS
         assert _digest(engine.kernel) == DIGEST
+        assert run.metrics.to_dict() == base.metrics.to_dict()
+
+    def test_pernode_checkpoint_resumes_on_the_one_loop(self):
+        checkpoint = load_checkpoint(GOLDEN / "alg1-pernode-format1.ckpt")
+        assert (checkpoint.format, checkpoint.kind, checkpoint.superstep) == (
+            1,
+            "pernode",
+            31,
+        )
+        setup = prepare_run(ALG1, _graph(), EdgeColoringParams())
+        run = resume_engine(checkpoint, setup.work).run()
+        base = SynchronousEngine(setup.work, setup.factory, seed=SEED).run()
+        assert run.completed
+        assert run.supersteps == SUPERSTEPS
+        colors, _, _ = setup.collect(run, True)
+        assert colors_digest(colors) == DIGEST
         assert run.metrics.to_dict() == base.metrics.to_dict()
 
     def test_retired_kernel_checkpoint_raises_typed_error(self):

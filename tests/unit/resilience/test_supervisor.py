@@ -73,7 +73,7 @@ class TestCleanRuns:
         faults = lambda: DropRandomMessages(0.05, seed=3) if lossy else None
         base = color_edges(
             graph,
-            compute="pernode",
+            compute="general",
             faults=faults(),
             check_consistency=not lossy,
             **kwargs,

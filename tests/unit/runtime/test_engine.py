@@ -1,5 +1,6 @@
 """Unit tests for the synchronous engine: delivery, halting, model checks."""
 
+import gc
 from typing import Sequence
 
 import pytest
@@ -8,9 +9,12 @@ from repro.errors import GraphError, MessagingViolation
 from repro.graphs.adjacency import Graph
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.runtime.engine import SynchronousEngine
+from repro.runtime.faults import DropRandomMessages
 from repro.runtime.message import Message
 from repro.runtime.node import Context, NodeProgram
+from repro.runtime.observe import PhaseProfiler
 from repro.runtime.trace import EventTracer
+from repro.verify.monitors import ConservationMonitor
 
 
 class Recorder(NodeProgram):
@@ -37,6 +41,12 @@ class PingOnce(Recorder):
         if ctx.superstep == 0:
             ctx.broadcast(("ping", self.node_id))
         super().on_superstep(ctx, inbox)
+
+
+def _profiler(profiled: bool):
+    """A phase profiler or none: the loop reaches the model checker on
+    a timed path under a profiler and on an untimed one without."""
+    return PhaseProfiler() if profiled else None
 
 
 class TestDeliverySemantics:
@@ -174,11 +184,12 @@ class TestModelEnforcement:
         with pytest.raises(MessagingViolation):
             SynchronousEngine(path_graph(3), FarSend).run()
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_duplicate_target_rejected_on_both_paths(self, fastpath):
-        # Regression for the all-unicast fast check (set compression):
-        # a duplicated destination must still raise, on the fast path's
-        # inlined checker and on the general loop alike.
+    @pytest.mark.parametrize("profiled", [True, False])
+    def test_duplicate_target_rejected_on_both_paths(self, profiled):
+        # Regression for the all-unicast shortcut (set compression): a
+        # duplicated destination must still raise, on both of the
+        # loop's paths into the checker (timed under a profiler, and
+        # untimed).
         class DoubleSend(NodeProgram):
             def __init__(self, node_id):
                 self.node_id = node_id
@@ -191,10 +202,12 @@ class TestModelEnforcement:
                 self.halt()
 
         with pytest.raises(MessagingViolation):
-            SynchronousEngine(star_graph(3), DoubleSend, fastpath=fastpath).run()
+            SynchronousEngine(
+                star_graph(3), DoubleSend, profiler=_profiler(profiled)
+            ).run()
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_non_neighbor_in_multi_unicast_rejected(self, fastpath):
+    @pytest.mark.parametrize("profiled", [True, False])
+    def test_non_neighbor_in_multi_unicast_rejected(self, profiled):
         # The all-unicast subset test must catch a non-neighbor mixed
         # into an otherwise valid fan of unicasts.
         class FarFan(NodeProgram):
@@ -208,11 +221,13 @@ class TestModelEnforcement:
                 self.halt()
 
         with pytest.raises(MessagingViolation):
-            SynchronousEngine(path_graph(3), FarFan, fastpath=fastpath).run()
+            SynchronousEngine(
+                path_graph(3), FarFan, profiler=_profiler(profiled)
+            ).run()
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_distinct_unicast_fan_allowed(self, fastpath):
-        # The happy case the all-unicast fast path accelerates: one
+    @pytest.mark.parametrize("profiled", [True, False])
+    def test_distinct_unicast_fan_allowed(self, profiled):
+        # The happy case the all-unicast shortcut accelerates: one
         # message to each of several distinct neighbors is legal.
         class Fan(NodeProgram):
             def __init__(self, node_id):
@@ -227,7 +242,9 @@ class TestModelEnforcement:
                 if ctx.superstep >= 1:
                     self.halt()
 
-        run = SynchronousEngine(star_graph(4), Fan, fastpath=fastpath).run()
+        run = SynchronousEngine(
+            star_graph(4), Fan, profiler=_profiler(profiled)
+        ).run()
         assert [p.got for p in run.programs] == [0, 1, 1, 1, 1]
 
     def test_lenient_mode_allows_double_send(self):
@@ -257,6 +274,60 @@ class TestValidation:
     def test_bad_budget(self):
         with pytest.raises(GraphError):
             SynchronousEngine(path_graph(2), Recorder, max_supersteps=0)
+
+    def test_retired_fastpath_keyword_raises(self):
+        with pytest.raises(TypeError, match="fastpath"):
+            SynchronousEngine(path_graph(2), Recorder, fastpath=True)
+
+
+class GcProbe(PingOnce):
+    """Records whether the cyclic collector ran enabled while stepping."""
+
+    def on_superstep(self, ctx, inbox):
+        self.gc_enabled = gc.isenabled()
+        super().on_superstep(ctx, inbox)
+
+
+class TestGcPause:
+    """``run()`` pauses the cyclic collector around the loop, for every
+    configuration, and restores the caller's setting."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {},
+            {"faults": DropRandomMessages(0.5, seed=1)},
+            {"tracer": EventTracer()},
+            {"monitors": [ConservationMonitor()]},
+            {"strict": False},
+        ],
+        ids=["plain", "faults", "tracer", "monitors", "lenient"],
+    )
+    def test_paused_during_the_run_and_restored(self, config):
+        assert gc.isenabled()
+        run = SynchronousEngine(star_graph(3), GcProbe, **config).run()
+        assert not any(p.gc_enabled for p in run.programs)
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            SynchronousEngine(star_graph(3), GcProbe).run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_restored_when_the_run_raises(self):
+        class FarSend(NodeProgram):
+            def __init__(self, node_id):
+                self.node_id = node_id
+
+            def on_superstep(self, ctx, inbox):
+                ctx.send(self.node_id + 2, "skip a hop")
+
+        with pytest.raises(MessagingViolation):
+            SynchronousEngine(path_graph(3), FarSend).run()
+        assert gc.isenabled()
 
 
 class TestMetricsAndTrace:

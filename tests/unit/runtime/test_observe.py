@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.edge_coloring import EdgeColoringProgram, color_edges
+from repro.core.edge_coloring import color_edges
 from repro.errors import ConfigurationError
 from repro.graphs.generators import erdos_renyi_avg_degree
 from repro.runtime.engine import SynchronousEngine
@@ -17,7 +17,7 @@ from repro.runtime.observe import (
     iter_jsonl_trace,
     read_jsonl_trace,
 )
-from repro.runtime.trace import EventTracer, TraceEvent
+from repro.runtime.trace import TraceEvent
 
 
 class TestNullSink:
@@ -206,32 +206,6 @@ class TestAutomatonTelemetry:
         assert "final work fraction: 1.0000" in text
 
 
-class TestFastpathSelection:
-    def test_telemetry_keeps_fast_path(self, er_graph):
-        engine = SynchronousEngine(
-            er_graph, EdgeColoringProgram, telemetry=AutomatonTelemetry()
-        )
-        assert engine._fastpath_engaged()
-
-    def test_profiler_keeps_fast_path(self, er_graph):
-        engine = SynchronousEngine(
-            er_graph, EdgeColoringProgram, profiler=PhaseProfiler()
-        )
-        assert engine._fastpath_engaged()
-
-    def test_sampled_tracer_keeps_fast_path(self, er_graph):
-        engine = SynchronousEngine(
-            er_graph, EdgeColoringProgram, tracer=EventTracer(sample={"*": 10})
-        )
-        assert engine._fastpath_engaged()
-
-    def test_full_tracer_forces_general_loop(self, er_graph):
-        engine = SynchronousEngine(
-            er_graph, EdgeColoringProgram, tracer=EventTracer()
-        )
-        assert not engine._fastpath_engaged()
-
-
 class TestPhaseProfiler:
     def test_add_and_totals(self):
         prof = PhaseProfiler()
@@ -259,7 +233,7 @@ class TestPhaseProfiler:
 
     def test_engine_fills_metrics(self, er_graph):
         prof = PhaseProfiler()
-        result = color_edges(er_graph, seed=3, profiler=prof, compute="vectorized")
+        result = color_edges(er_graph, seed=3, profiler=prof, compute="auto")
         assert set(result.metrics.phase_seconds) == {"compute"}
         assert result.metrics.phase_seconds == prof.as_dict()
         report = result.metrics.report()

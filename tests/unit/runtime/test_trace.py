@@ -137,14 +137,3 @@ class TestSampling:
         assert t.sampled_out == 0
         t.record(0, 0, "e", {})
         assert len(t) == 1  # counter restarted: first event kept again
-
-
-class TestFastpathCompatibility:
-    def test_full_tracer_not_compatible(self):
-        assert EventTracer().fastpath_compatible is False
-        assert EventTracer(capacity=10).fastpath_compatible is False
-        assert EventTracer(0, sink=NullSink()).fastpath_compatible is False
-
-    def test_sampled_tracer_compatible(self):
-        assert EventTracer(sample={"*": 2}).fastpath_compatible is True
-        assert EventTracer(100, sample={"invite": 10}).fastpath_compatible is True

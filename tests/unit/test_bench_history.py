@@ -160,6 +160,50 @@ class TestBenchScriptWiring:
         assert entry is not None
         assert entry["schema"] == 1
 
+    def test_sweep_report_gates_every_algorithm_row(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A report shaped like run_sweep's, used as its own baseline,
+        # gates every row on the kernels' edge over the per-node loop:
+        # it passes unchanged, and fails on every row once the kernels
+        # lose that edge.
+        bench = _load("bench_engine_scaling")
+
+        def measure(spec, mode, telemetry):
+            return {
+                "telemetry": {"supersteps": 4},
+                "wall_s": 0.1 if mode == "vectorized" else 1.0,
+                "supersteps": 4,
+                "rounds": 1,
+                "rounds_per_s": 1.0,
+                "messages_delivered": 8,
+                "delivered_per_s": 8.0,
+                "peak_rss_kb": 1,
+                "metrics": {"supersteps": 4, "messages_delivered": 8},
+                "state_digest": "d",
+            }
+
+        monkeypatch.setattr(bench, "_measure", measure)
+        report = bench.run_sweep(smoke=False, repeats=1)
+        assert set(report["workloads"]) >= {
+            "alg1-er-n1000-d8",
+            "alg1-er-n10000-d8",
+            "alg1-sf-n10000-m4",
+            "dima2ed-er-n1000-d6",
+        }
+        baseline = tmp_path / "BENCH_engine.json"
+        baseline.write_text(json.dumps(report))
+        capsys.readouterr()
+        assert bench.check_against(report, baseline, 0.2) == 0
+        out = capsys.readouterr().out
+        for name in report["workloads"]:
+            assert f"check [{name}] vectorized/general baseline x10.00 now x10.00" in out
+        slowed = copy.deepcopy(report)
+        for entry in slowed["workloads"].values():
+            entry["speedup_vectorized_over_general"] = 1.0
+        assert bench.check_against(slowed, baseline, 0.2) == 1
+        assert capsys.readouterr().out.count("REGRESSED") == len(report["workloads"])
+
     def test_parser_accepts_history_and_compare(self):
         bench = _load("bench_engine_scaling")
         # argparse wiring only — the sweep itself is exercised in CI

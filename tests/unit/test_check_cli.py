@@ -49,6 +49,10 @@ class TestTierParsing:
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_tiers("general,warp")
 
+    def test_retired_fastpath_tier_rejected(self):
+        with pytest.raises(argparse.ArgumentTypeError, match="'fastpath'"):
+            _parse_tiers("general,fastpath")
+
 
 class TestCheckCommand:
     def test_agreeing_graph_exits_zero(self, graph_file, capsys):
@@ -59,7 +63,7 @@ class TestCheckCommand:
 
     def test_single_algorithm_and_tier_subset(self, graph_file, capsys):
         code = check_main(
-            [str(graph_file), "--algorithm", "alg1", "--tiers", "general,fastpath"]
+            [str(graph_file), "--algorithm", "alg1", "--tiers", "general,async"]
         )
         assert code == 0
         out = capsys.readouterr().out

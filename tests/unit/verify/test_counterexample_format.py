@@ -30,6 +30,15 @@ class TestGoldenCounterexample:
         report = replay(GOLDEN)
         assert report.ok, report.summary()
 
+    def test_retired_fastpath_tier_is_reported_skipped(self):
+        # The file lists ``fastpath``, a tier whose core this checkout
+        # deleted: the replay runs the others and names it as skipped.
+        assert "fastpath" in load_counterexample(GOLDEN).tiers
+        report = replay(GOLDEN)
+        assert "fastpath" not in report.runs
+        assert "fast-path delivery core" in report.skipped["fastpath"]
+        assert "fastpath  SKIPPED: retired" in report.summary()
+
     def test_writes_back_byte_identical(self, tmp_path):
         text = GOLDEN.read_text()
         assert Counterexample.from_json(text).to_json() == text

@@ -86,12 +86,12 @@ class TestFieldDiffing:
         metrics = dict(make_run().metrics, supersteps=0)
         assert _diff_runs(make_run(), make_run(tier="async", metrics=metrics)) == []
         # ...but any synchronous tier must match it.
-        divs = _diff_runs(make_run(), make_run(tier="fastpath", metrics=metrics))
+        divs = _diff_runs(make_run(), make_run(tier="sharded", metrics=metrics))
         assert [d.field for d in divs] == ["metrics.supersteps"]
 
     def test_telemetry_pins_first_diverging_superstep(self):
         other = make_run(
-            tier="fastpath",
+            tier="sharded",
             colors={(0, 1): 0, (1, 2): 5},
             state_histograms=[{"C": 3}, {"W": 3}, {"E": 3}],
         )
@@ -167,8 +167,8 @@ class TestTierSelection:
             diff_tiers(path_graph(3), algorithm="alg3")
 
     def test_subset_report_only_runs_requested(self):
-        report = diff_tiers(cycle_graph(5), tiers=["general", "fastpath"], seed=2)
-        assert set(report.runs) == {"general", "fastpath"}
+        report = diff_tiers(cycle_graph(5), tiers=["general", "vectorized"], seed=2)
+        assert set(report.runs) == {"general", "vectorized"}
         assert report.ok
 
     def test_report_counts_graph(self):

@@ -253,15 +253,6 @@ class TestConservation:
 
 
 class TestEngineIntegration:
-    def test_monitors_force_general_loop(self):
-        g = cycle_graph(6)
-        engine = SynchronousEngine(
-            g, lambda u: ScriptedProgram(u), monitors=default_monitors()
-        )
-        assert not engine._fastpath_engaged()
-        engine = SynchronousEngine(g, lambda u: ScriptedProgram(u))
-        assert engine._fastpath_engaged()
-
     def test_monitors_block_batched_core(self):
         from repro.core.batched import batched_eligible
 
