@@ -102,9 +102,10 @@ class RunSetup:
     """One per-node run's wiring; see :func:`prepare_run`."""
 
     row: AlgorithmRow
-    #: The topology relabelled to ``0 .. n-1``, and back to its labels.
+    #: The topology relabelled to ``0 .. n-1``, and back to its labels
+    #: (``range(n)`` when the ids already are ``0 .. n-1``).
     work: Graph
-    inverse: Dict[int, Any]
+    inverse: Union[Dict[int, Any], range]
     delta: int
     #: The validated computation-round budget.
     rounds: int
@@ -145,7 +146,12 @@ def prepare_run(
     (``params.max_rounds``, else the row's default for Δ) is below 1 or
     ``transport`` is neither a bool nor a :class:`TransportConfig`.
     """
-    work, mapping = relabel_for_engine(topology)
+    if topology.edge_arrays() is not None:
+        # Array-built: the ids are 0 .. n-1 in insertion order already.
+        work, inverse = topology, range(topology.num_nodes)
+    else:
+        work, mapping = relabel_for_engine(topology)
+        inverse = {new: old for old, new in mapping.items()}
     # Δ from the CSR degree array — to_csr() is cached on the graph, so
     # the engine reuses the same arrays.
     indptr, _ = work.to_csr()
@@ -174,7 +180,7 @@ def prepare_run(
     return RunSetup(
         row=row,
         work=work,
-        inverse={new: old for old, new in mapping.items()},
+        inverse=inverse,
         delta=delta,
         rounds=rounds,
         transport=transport,
@@ -340,7 +346,7 @@ def run_kernel(
     algorithm: str,
     backend: str,
     work: Graph,
-    inverse: Dict[int, int],
+    inverse: Union[Dict[int, Any], range],
     kernel_args: Dict[str, object],
     *,
     seed: int,
@@ -384,6 +390,8 @@ def run_kernel(
     else:
         run = BatchedEngine(work, kernel, **engine_args).run()
     s_arr, t_arr, c_arr = kernel.assignment_arrays()
+    if inverse == range(work.num_nodes):
+        return run, (s_arr, t_arr, c_arr)
     labels = _label_table(inverse, work.num_nodes)
     return run, (labels[s_arr], labels[t_arr], c_arr)
 

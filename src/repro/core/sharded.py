@@ -2,7 +2,7 @@
 
 The vectorized kernels (:mod:`repro.core.vectorized`) hold three big
 per-population blocks resident: the CSR adjacency, the flat uncolored
-partner lists, and the MT19937 pool (``uint32[n, 624]`` — ~2.4 GB at
+partner lists, and the MT19937 pool (``uint32[624, n]`` — ~2.4 GB at
 n=10⁶, the dominant term by an order of magnitude).  The classes here
 re-house all three behind the shard layout of
 :mod:`repro.graphs.shards` so the whole-population arrays never exist:
@@ -71,9 +71,9 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: Rows of MT pool state materialized at once while seeding a shard
-#: (bounds the transient beyond the shard's own memmap).
-_SEED_ROWS = 1 << 16
+#: Nodes whose MT pool columns are seeded at once into a shard's
+#: memmap (bounds the transient beyond the memmap itself).
+_SEED_NODES = 1 << 16
 
 #: Messages are modeled as 64-bit words throughout the runtime.
 _WORD_BYTES = 8
@@ -99,6 +99,8 @@ class ShardedMT:
     subsets returns bit-identical outputs to the whole-population call
     — the property suite pins this.
 
+    Each shard's pool file is word-major, ``uint32[624, n_s]`` like the
+    view's, so a draw touches the few word rows around the cursors.
     ``mti``/``filled`` cursors stay resident per shard (``int64[n_s]``
     each — two words per node, vs 624 for the pool) and are handed to
     the ``VectorMT`` view by reference, so its in-place cursor updates
@@ -131,11 +133,11 @@ class ShardedMT:
                     self._paths[s],
                     mode="w+",
                     dtype=np.uint32,
-                    shape=(owned.size, _MT_N),
+                    shape=(_MT_N, owned.size),
                 )
-                for lo in range(0, owned.size, _SEED_ROWS):
-                    hi = min(lo + _SEED_ROWS, owned.size)
-                    mm[lo:hi] = mt_states_from_seeds(seeds[owned[lo:hi]])
+                for lo in range(0, owned.size, _SEED_NODES):
+                    hi = min(lo + _SEED_NODES, owned.size)
+                    mm[:, lo:hi] = mt_states_from_seeds(seeds[owned[lo:hi]])
                 mm.flush()
                 del mm
 
@@ -198,7 +200,7 @@ class ShardedMT:
         note this is the one place the tier pays whole-population
         memory, ~2.5 KB/node)."""
         return {
-            "state": [np.array(np.load(p)) for p in self._paths],
+            "words": [np.array(np.load(p)) for p in self._paths],
             "mti": [a.copy() for a in self.mti],
             "filled": [a.copy() for a in self.filled],
         }
@@ -213,11 +215,15 @@ class ShardedMT:
     ) -> "ShardedMT":
         obj = cls(shardset, spill_dir, stats, run_seed=None)
         for s in range(obj._K):
-            state = np.asarray(payload["state"][s], dtype=np.uint32)
+            if "words" in payload:
+                words = np.asarray(payload["words"][s], dtype=np.uint32)
+            else:
+                # Frozen before the word-major layout: node-major pools.
+                words = np.asarray(payload["state"][s], dtype=np.uint32).T
             mm = np.lib.format.open_memmap(
-                obj._paths[s], mode="w+", dtype=np.uint32, shape=state.shape
+                obj._paths[s], mode="w+", dtype=np.uint32, shape=words.shape
             )
-            mm[:] = state
+            mm[:] = words
             mm.flush()
             del mm
         obj.mti = [np.asarray(a, dtype=np.int64).copy() for a in payload["mti"]]

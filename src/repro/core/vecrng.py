@@ -168,19 +168,20 @@ def _init_genrand(s: int) -> np.ndarray:
 
 
 def mt_states_from_seeds(seeds: np.ndarray) -> np.ndarray:
-    """MT19937 state rows for single-word integer seeds, vectorized.
+    """MT19937 state words for single-word integer seeds, vectorized.
 
-    Bit-equal to ``random.Random(int(seed)).getstate()[1][:624]`` for
-    each seed — CPython's ``random_seed`` feeds the seed's 32-bit words
-    to ``init_by_array``, and every seed here is a single word (child
-    seeds are uint32).  Returns ``uint32[n, 624]``; pair with ``mti``
-    initialized to 624 so the first draw twists, exactly like a freshly
-    seeded ``Random``.
+    Column ``j`` is bit-equal to
+    ``random.Random(int(seeds[j])).getstate()[1][:624]`` — CPython's
+    ``random_seed`` feeds the seed's 32-bit words to ``init_by_array``,
+    and every seed here is a single word (child seeds are uint32).
+    Returns ``uint32[624, n]``, word-major like :class:`VectorMT`'s
+    pool; pair with ``mti`` initialized to 624 so the first draw
+    twists, exactly like a freshly seeded ``Random``.
 
     The sweeps run in uint32 throughout — unsigned ufuncs wrap mod 2**32,
-    which *is* the reference masking — transposed to ``[624, n]`` so each
-    step touches one contiguous row, with ``out=`` buffers so the ~1250
-    sequential steps allocate nothing.
+    which *is* the reference masking — so each step touches one
+    contiguous row, with ``out=`` buffers so the ~1250 sequential steps
+    allocate nothing.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     n = len(seeds)
@@ -222,49 +223,63 @@ def mt_states_from_seeds(seeds: np.ndarray) -> np.ndarray:
             i = 1
 
     mt[0] = _UPPER_MASK
-    return np.ascontiguousarray(mt.T)
+    return mt
 
 
-#: Pool-regeneration chunk boundaries.  The classic twist loop has a
-#: lag-227 dependency in its second half, so the pool fills in three
-#: in-order chunks — each only reads words that are already final.
-_CHUNK_STARTS = (0, 227, 454)
+#: A pool cycle regenerates in three in-order chunks ``(start, stop,
+#: lag)``.  The twist runs upward in place: new word i reads old words i
+#: and i + 1 (not yet overwritten) and word i + lag, which is an old word
+#: in the first chunk and an already regenerated one in the other two
+#: (word 623 reads word 0, also regenerated, as its word i + 1).
+_CHUNKS = ((0, 227, 397), (227, 454, -227), (454, 624, -227))
 
-#: Row-block size for the fancy-index regeneration path.  Each row's
-#: fill is independent, so blocking changes nothing bit-wise; without
-#: it, ``old = st[rows]`` materializes the previous cycle for *every*
-#: requested row at once — a whole-pool-sized transient that defeats
-#: the sharded tier's one-shard-resident memory bound.
-_FILL_BLOCK_ROWS = 1 << 15
+#: Words per temporary of one twist block (256 KiB), or one word row if
+#: that is wider.  A block spans every processed column and as many word
+#: rows as fit, up to a whole chunk: 288 columns or fewer twist a chunk
+#: in one block.  Cache-sized blocks twisted faster than whole chunks at
+#: every n measured, 200 to 10⁵.
+_TWIST_WORDS = 1 << 16
+
+
+def _blocks(start: int, stop: int, rows: int):
+    """``(lo, hi, nxt)`` word-row blocks covering ``start .. stop - 1``;
+    rows ``nxt ..`` hold each row's word i + 1.  Word 623's is word 0,
+    so it gets a block of its own."""
+    end = min(stop, _MT_N - 1)
+    for lo in range(start, end, rows):
+        yield lo, min(lo + rows, end), lo + 1
+    if stop == _MT_N:
+        yield _MT_N - 1, _MT_N, 0
 
 
 class VectorMT:
-    """All nodes' MT19937 streams as one ``uint32[n, 624]`` array.
+    """All nodes' MT19937 streams as one word-major ``uint32[624, n]`` pool.
 
-    Draws operate on an arbitrary subset of streams per call (``ids``):
-    the lockstep automaton draws for every live node at the same point
-    of its private stream, so one gather per draw replaces ``len(ids)``
-    Python-level ``Random`` method calls.
+    Column ``j`` is stream ``j``'s pool.  Draws operate on an arbitrary
+    subset of streams per call (``ids``): the lockstep automaton draws
+    for every live node at the same point of its private stream, so one
+    gather per draw replaces ``len(ids)`` Python-level ``Random`` method
+    calls, and the gather reads a few word rows of the pool.
 
     Pool regeneration is lazy at *chunk* granularity: a run that draws
     ~150 words per stream (typical for the automaton — a handful per
     round) only ever materializes the first 227-word chunk of the next
     pool instead of all 624, and streams that halt early stop paying
     entirely.  ``filled`` tracks how much of the current pool cycle each
-    row has generated; words at ``mti < filled`` are valid, and a
+    stream has generated; words at ``mti < filled`` are valid, and a
     chunk's inputs are exactly the previous cycle's words still sitting
     above ``filled`` plus the already-final words below it.
     """
 
-    __slots__ = ("state", "mti", "filled")
+    __slots__ = ("words", "mti", "filled")
 
     def __init__(
         self,
-        state: np.ndarray,
+        words: np.ndarray,
         mti: np.ndarray,
         filled: np.ndarray | None = None,
     ) -> None:
-        self.state = state
+        self.words = words
         self.mti = mti
         # A fully generated pool unless told otherwise (from_randoms,
         # for_run — the seeded state is itself a complete cycle).
@@ -272,24 +287,32 @@ class VectorMT:
             np.full(len(mti), _MT_N, dtype=np.int64) if filled is None else filled
         )
 
+    def __setstate__(self, state) -> None:
+        slots = dict(state[1])
+        if "state" in slots:
+            # Pickled before the word-major layout: a node-major pool.
+            slots["words"] = np.ascontiguousarray(slots.pop("state").T)
+        for name, value in slots.items():
+            setattr(self, name, value)
+
     @classmethod
     def for_run(cls, run_seed: int, n: int) -> "VectorMT":
         """The streams ``spawn_node_rngs(run_seed, n)`` would hand out."""
         seeds = child_seeds(run_seed, n)
-        state = mt_states_from_seeds(seeds)
-        return cls(state, np.full(n, _MT_N, dtype=np.int64))
+        words = mt_states_from_seeds(seeds)
+        return cls(words, np.full(n, _MT_N, dtype=np.int64))
 
     @classmethod
     def from_randoms(cls, rngs: Sequence) -> "VectorMT":
         """Adopt existing ``random.Random`` streams (tests, adapters)."""
         n = len(rngs)
-        state = np.empty((n, _MT_N), dtype=_U32)
+        words = np.empty((_MT_N, n), dtype=_U32)
         mti = np.empty(n, dtype=np.int64)
         for i, rng in enumerate(rngs):
             version, internal, _gauss = rng.getstate()
-            state[i] = np.asarray(internal[:_MT_N], dtype=np.uint64).astype(_U32)
+            words[:, i] = np.asarray(internal[:_MT_N], dtype=np.uint64).astype(_U32)
             mti[i] = internal[_MT_N]
-        return cls(state, mti)
+        return cls(words, mti)
 
     def to_randoms(self) -> List:
         """Materialize equivalent ``random.Random`` objects (tests)."""
@@ -299,7 +322,7 @@ class VectorMT:
         out = []
         for i in range(len(self.mti)):
             rng = _random.Random()
-            words = tuple(int(w) for w in self.state[i]) + (int(self.mti[i]),)
+            words = tuple(int(w) for w in self.words[:, i]) + (int(self.mti[i]),)
             rng.setstate((3, words, None))
             out.append(rng)
         return out
@@ -307,85 +330,68 @@ class VectorMT:
     def _complete_pools(self) -> None:
         """Finish every partially generated pool (stdlib interop needs
         the full 624 words — ``Random`` reads its pool directly)."""
-        rows = np.nonzero(self.filled < _MT_N)[0]
-        while rows.size:
-            f = self.filled[rows]
-            for level, start in enumerate(_CHUNK_STARTS):
-                sub = rows[f == start]
+        ids = np.nonzero(self.filled < _MT_N)[0]
+        while ids.size:
+            f = self.filled[ids]
+            for level, (start, _, _) in enumerate(_CHUNKS):
+                sub = ids[f == start]
                 if sub.size:
                     self._fill_chunk(sub, level)
-            rows = rows[self.filled[rows] < _MT_N]
+            ids = ids[self.filled[ids] < _MT_N]
 
-    def _fill_chunk(self, rows: np.ndarray, level: int) -> None:
-        """Generate one chunk of the current pool cycle for ``rows``.
+    def _fill_chunk(self, ids: np.ndarray, level: int) -> None:
+        """Generate chunk ``level`` of the current pool cycle for the
+        distinct streams ``ids`` (each with ``filled`` at the chunk's
+        start), in place, one block of word rows at a time.
 
-        ``rows`` must all sit exactly at chunk boundary ``level`` (their
-        ``filled`` equals ``_CHUNK_STARTS[level]``).  Reads above the
-        boundary still hold the *previous* cycle's words — exactly the
-        in-place twist's view at that point of its loop.
+        A quarter of the population or more twists every column and
+        keeps the old words of the columns not in ``ids`` through a
+        mask; a smaller subset gathers its columns per block and
+        scatters them back (the two cost the same near a quarter, at
+        n from 2·10³ to 10⁵).  Either way a temporary holds one word
+        row or :data:`_TWIST_WORDS` words, whichever is more.
         """
-        st = self.state
-        if st.shape[0] > rows.size > _FILL_BLOCK_ROWS:
-            # Fancy-index path on a large subset: bound the gather
-            # temporaries (rows are mutually independent).
-            for lo in range(0, rows.size, _FILL_BLOCK_ROWS):
-                self._fill_chunk(rows[lo : lo + _FILL_BLOCK_ROWS], level)
-            return
+        words = self.words
+        n = words.shape[1]
+        start, stop, lag = _CHUNKS[level]
         upper, lower = _U32(_UPPER_MASK), _U32(_LOWER_MASK)
         one, mat = _U32(1), _U32(_MATRIX_A)
-        if rows.size == st.shape[0]:
-            # Every row fills at once (always true for the first draw of
-            # a run): plain views beat a 25 MB fancy-index gather.
-            sub = st
+        gather = 4 * ids.size < n
+        mask = None  # when some columns are left out: all ones under ids
+        if gather:
+            width = ids.size
+
+            def rows_of(lo: int, hi: int) -> np.ndarray:
+                return np.take(words[lo:hi], ids, axis=1)
+
         else:
-            sub = None
-        if level == 0:
-            old = st if sub is not None else st[rows]  # full previous cycle
-            y = (old[:, 0:227] & upper) | (old[:, 1:228] & lower)
-            new = old[:, 397:624] ^ (y >> one) ^ ((y & one) * mat)
-            if sub is not None:
-                st[:, 0:227] = new
-            else:
-                st[rows, 0:227] = new
-            self.filled[rows] = 227
-        elif level == 1:
-            if sub is not None:
-                old = st[:, 227:455].copy()  # previous cycle's words
-                new_lo = st[:, 0:227]  # this cycle's chunk 0
-            else:
-                old = st[rows, 227:455]
-                new_lo = st[rows, 0:227]
-            y = (old[:, 0:227] & upper) | (old[:, 1:228] & lower)
-            new = new_lo ^ (y >> one) ^ ((y & one) * mat)
-            if sub is not None:
-                st[:, 227:454] = new
-            else:
-                st[rows, 227:454] = new
-            self.filled[rows] = 454
-        else:
-            if sub is not None:
-                old = st[:, 454:624].copy()  # previous cycle's words
-                prev_new = st[:, 227:397]  # this cycle's words 227..396
-                first = st[:, 0]
-            else:
-                old = st[rows, 454:624]
-                prev_new = st[rows, 227:397]
-                first = st[rows, 0]
-            y = (old[:, 0:169] & upper) | (old[:, 1:170] & lower)
-            new = prev_new[:, 0:169] ^ (y >> one) ^ ((y & one) * mat)
-            y_last = (old[:, 169] & upper) | (first & lower)
-            last = prev_new[:, 169] ^ (y_last >> one) ^ ((y_last & one) * mat)
-            if sub is not None:
-                st[:, 454:623] = new
-                st[:, 623] = last
-            else:
-                st[rows, 454:623] = new
-                st[rows, 623] = last
-            self.filled[rows] = _MT_N
+            width = n
+            if ids.size < n:
+                mask = np.zeros(n, dtype=_U32)
+                mask[ids] = _M32
+
+            def rows_of(lo: int, hi: int) -> np.ndarray:
+                return words[lo:hi]
+
+        size = max(1, min(stop - start, _TWIST_WORDS // width))
+        for lo, hi, nxt in _blocks(start, stop, size):
+            y = rows_of(lo, hi) & upper
+            y |= rows_of(nxt, nxt + hi - lo) & lower
+            new = rows_of(lo + lag, hi + lag) ^ (y >> one)
+            new ^= (y & one) * mat
+            if gather:
+                words[lo:hi, ids] = new
+            elif mask is None:
+                words[lo:hi] = new
+            else:  # old ^ ((old ^ new) & mask): new words under the mask
+                new ^= words[lo:hi]
+                new &= mask
+                words[lo:hi] ^= new
+        self.filled[ids] = stop
 
     def _ensure(self, ids: np.ndarray, extra: int) -> None:
-        """Make words ``mti .. mti+extra`` valid for every row in ``ids``
-        (starting a new pool cycle for exhausted rows)."""
+        """Make words ``mti .. mti+extra`` valid for every stream in
+        ``ids`` (starting a new pool cycle for exhausted streams)."""
         mti, filled = self.mti, self.filled
         fresh = ids[mti[ids] >= _MT_N]
         if fresh.size:
@@ -396,7 +402,7 @@ class VectorMT:
         need = ids[mti[ids] + extra >= filled[ids]]
         while need.size:
             f = filled[need]
-            for level, start in enumerate(_CHUNK_STARTS):
+            for level, (start, _, _) in enumerate(_CHUNKS):
                 sub = need[f == start]
                 if sub.size:
                     self._fill_chunk(sub, level)
@@ -413,7 +419,7 @@ class VectorMT:
         """One tempered 32-bit output from each stream in ``ids``."""
         self._ensure(ids, 0)
         cursors = self.mti[ids]
-        y = self.state[ids, cursors]
+        y = self.words[cursors, ids]
         self.mti[ids] = cursors + 1
         return self._temper(y)
 
@@ -427,8 +433,8 @@ class VectorMT:
         else:
             self._ensure(ids, 1)
             cursors = self.mti[ids]
-            a = self._temper(self.state[ids, cursors]) >> _U32(5)
-            b = self._temper(self.state[ids, cursors + 1]) >> _U32(6)
+            a = self._temper(self.words[cursors, ids]) >> _U32(5)
+            b = self._temper(self.words[cursors + 1, ids]) >> _U32(6)
             self.mti[ids] = cursors + 2
         return (
             a.astype(np.float64) * 67108864.0 + b.astype(np.float64)

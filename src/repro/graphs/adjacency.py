@@ -364,8 +364,8 @@ class Graph:
         Row ``u`` holds the neighbors of ``u`` in ascending order at
         ``indices[indptr[u]:indptr[u + 1]]``.  Requires contiguous node
         ids ``0 .. n-1`` (use :meth:`relabeled` first) so that rows can
-        be indexed by node id — this is the layout the simulator's
-        fast delivery path gathers broadcast fan-outs from.
+        be indexed by node id — this is the layout the engines build
+        their neighbour views from and the kernels gather from.
 
         The result is cached on the instance (every mutator invalidates
         it), so repeated engine runs on the same graph — replicates,

@@ -624,7 +624,10 @@ class BatchedEngine:
         registry=None,
     ) -> None:
         n = topology.num_nodes
-        if sorted(topology.nodes()) != list(range(n)):
+        # An array-built graph's ids are 0..n-1 by construction.
+        if topology.edge_arrays() is None and (
+            sorted(topology.nodes()) != list(range(n))
+        ):
             raise GraphError(
                 "engine topology requires contiguous node ids 0..n-1; "
                 "call Graph.relabeled() first"
@@ -651,8 +654,8 @@ class BatchedEngine:
 
     def run(self) -> RunResult:
         """Execute until the kernel halts every node or the budget ends."""
-        # Same rationale as the fast path: per-superstep garbage is
-        # acyclic, so pause the cyclic collector for the run.
+        # Same rationale as SynchronousEngine.run: per-superstep garbage
+        # is acyclic, so pause the cyclic collector for the run.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Mapping, Optional, Set, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -110,10 +110,12 @@ def ranges(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarr
 class Nodes:
     """A graph's node ids and their ranks ``0 .. n-1``."""
 
-    def __init__(self, ids: list) -> None:
+    def __init__(self, ids: Sequence) -> None:
         self.ids = ids
         self.n = len(ids)
-        values = _int64s(ids)
+        values = (
+            np.arange(self.n, dtype=np.int64) if ids == range(self.n) else _int64s(ids)
+        )
         #: True when every id is an ``int`` within int64.
         self.ints = values is not None
         self._sorted: Optional[np.ndarray] = None
@@ -157,13 +159,14 @@ def adjacency(
     are ``(u, v)`` in order, then ``(v, u)``; otherwise they run row by
     row in ``nodes()`` order, each row in the order its ``neighbors``
     set iterates."""
-    ids = graph.nodes()
-    nodes = Nodes(ids)
     arrays = getattr(graph, "edge_arrays", None)
     edges = arrays() if arrays is not None else None
     if edges is not None:
         u, v = edges  # ids 0..n-1, so a node's rank is its id
+        nodes = Nodes(range(graph.num_nodes))
         return nodes, np.concatenate([u, v]), np.concatenate([v, u])
+    ids = graph.nodes()
+    nodes = Nodes(ids)
     sets = [neighbors(u) for u in ids]
     degrees = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
     rows = np.repeat(nodes.ranks, degrees)

@@ -11,15 +11,22 @@ directly against its reference:
 * ``random_``/``randbelow``/``next_words`` vs the stdlib methods,
   including interleaved subset draws and pool-cycle crossings
 * ``to_randoms``           round-trips a partially generated pool
+* the word-major pool's in-place twist, through each of its paths
+  (whole population, masked write, gathered subset) and over a
+  memmapped pool, and its memory bounds at n=10⁵
 """
 
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence
 
+import repro.core.vecrng as vecrng
 from repro.core.vecrng import VectorMT, child_seeds, mt_states_from_seeds
 from repro.runtime.rng import spawn_node_rngs
 
@@ -59,10 +66,10 @@ class TestMtStates:
     def test_matches_random_seed(self, seed, n):
         seeds = child_seeds(seed, n)
         states = mt_states_from_seeds(seeds)
-        assert states.shape == (n, 624)
+        assert states.shape == (624, n)
         for i, s in enumerate(seeds.tolist()):
             _version, internal, _gauss = random.Random(s).getstate()
-            assert states[i].tolist() == list(internal[:624])
+            assert states[:, i].tolist() == list(internal[:624])
 
 
 class TestDraws:
@@ -187,3 +194,110 @@ class TestStateRoundTrip:
         ids = np.arange(3, dtype=np.int64)
         for _ in range(20):
             assert vec.random_(ids).tolist() == [r.random() for r in shadow]
+
+
+#: Pool cycles are 624 words; 1300 words cross every chunk twice.
+_TWO_CYCLES = 1300
+
+
+def _fills(vec, ids, draws):
+    """Draw ``draws`` words for ``ids``; return each ``_fill_chunk``
+    call as ``(level, number of streams)``."""
+    calls = []
+    fill = VectorMT._fill_chunk
+
+    def spy(self, sub, level):
+        calls.append((level, sub.size))
+        fill(self, sub, level)
+
+    with mock.patch.object(VectorMT, "_fill_chunk", spy):
+        words = [vec.next_words(ids).tolist() for _ in range(draws)]
+    return words, calls
+
+
+class TestWordMajorTwist:
+    """The in-place twist against ``random.Random``, path by path: the
+    whole population (plain write), a subset of a quarter or more
+    (masked write) and a smaller one (gather), over every chunk of two
+    pool cycles, with blocks from one word row up to a whole chunk."""
+
+    N = 1000
+
+    @pytest.mark.parametrize("twist_words", [vecrng._TWIST_WORDS, 64])
+    @pytest.mark.parametrize(
+        "size", [1000, 999, 10], ids=["whole", "masked", "gather"]
+    )
+    def test_paths_match_stdlib_across_two_cycles(self, size, twist_words):
+        seed = 20260
+        vec = VectorMT.for_run(seed, self.N)
+        refs = spawn_node_rngs(seed, self.N)
+        ids = np.sort(
+            np.random.default_rng(size).choice(self.N, size, replace=False)
+        )
+        with mock.patch.object(vecrng, "_TWIST_WORDS", twist_words):
+            got, calls = _fills(vec, ids, _TWO_CYCLES)
+        want = [[refs[i].getrandbits(32) for i in ids.tolist()]
+                for _ in range(_TWO_CYCLES)]
+        assert got == want
+        # Every chunk of both cycles regenerated once, for all of ids.
+        assert calls == [(level, size) for level in (0, 1, 2)] * 2 + [(0, size)]
+        # The streams left out kept their seeded pools untouched.
+        rest = np.setdiff1d(np.arange(self.N), ids)
+        assert np.array_equal(
+            vec.words[:, rest], VectorMT.for_run(seed, self.N).words[:, rest]
+        )
+
+    def test_memmapped_pool(self, tmp_path):
+        """A ``.npy`` memmap holds the pool as the sharded tier's shard
+        files do; the twist writes through it in place."""
+        seed, n = 77, 40
+        path = tmp_path / "mt.npy"
+        seeded = VectorMT.for_run(seed, n)
+        np.save(path, seeded.words)
+        words = np.load(path, mmap_mode="r+")
+        vec = VectorMT(words, seeded.mti, seeded.filled)
+        refs = spawn_node_rngs(seed, n)
+        for ids in (np.arange(n), np.arange(1, n), np.array([3, 17])):
+            got, _ = _fills(vec, ids, 700)
+            assert got == [[refs[i].getrandbits(32) for i in ids.tolist()]
+                           for _ in range(700)]
+        assert vec.words is words
+        assert np.array_equal(np.load(path), np.asarray(words))
+
+
+class TestPoolMemory:
+    """Peak traced allocations at n=10⁵, as multiples of the pool."""
+
+    N = 100_000
+    POOL = 624 * 4 * N
+
+    def _peak(self, call) -> float:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - before) / self.POOL
+
+    def test_seeding_allocates_one_pool(self):
+        assert self._peak(lambda: VectorMT.for_run(5, self.N)) <= 1.05
+
+    def test_first_whole_population_draw(self):
+        vec = VectorMT.for_run(5, self.N)
+        ids = np.arange(self.N)
+        assert self._peak(lambda: vec.random_(ids)) <= 0.1
+
+    def test_third_subset_across_chunks_one_and_two(self):
+        vec = VectorMT.for_run(5, self.N)
+        vec.random_(np.arange(self.N))
+        third = np.arange(0, self.N, 3)
+
+        def cross():
+            for _ in range(230):  # words 2 .. 461
+                vec.random_(third)
+
+        assert self._peak(cross) <= 0.60
+        assert set(vec.filled[third].tolist()) == {624}  # chunk 2 regenerated

@@ -1,7 +1,15 @@
-"""``relabel_for_engine``: the zero-copy shortcut and its guard rails."""
+"""``relabel_for_engine``: the zero-copy shortcut and its guard rails,
+and the run path's identity ids for array-built graphs."""
+
+import numpy as np
+import pytest
 
 from repro.core._coerce import relabel_for_engine
-from repro.graphs.adjacency import Graph
+from repro.core.dima2ed import strong_color_arcs
+from repro.core.edge_coloring import color_edges
+from repro.graphs.adjacency import DiGraph, Graph
+from repro.graphs.generators import erdos_renyi_avg_degree
+from repro.verify import check_proper_edge_coloring, check_strong_arc_coloring
 
 
 def test_in_order_contiguous_graph_returned_unchanged():
@@ -45,3 +53,58 @@ def test_noncontiguous_ids_relabel():
     assert sorted(work.nodes()) == [0, 1]
     assert mapping == {10: 0, 20: 1}
     assert work.has_edge(0, 1)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an array-built graph needs no per-node relabel")
+
+
+def test_array_built_runs_build_no_per_node_tables(monkeypatch):
+    """An array-built graph's ids are 0..n-1 in order by construction:
+    the kernel runs and the verifiers take them as they are, without the
+    relabel dict, the label table or a node list."""
+    sets = erdos_renyi_avg_degree(300, 6.0, seed=2)
+    u, v = (np.array(a) for a in zip(*sets.edges()))
+    arrays = Graph.from_edge_arrays(300, u, v)
+    want_edges = color_edges(sets, seed=4)
+    want_arcs = strong_color_arcs(sets.to_directed(), seed=4)
+    monkeypatch.setattr("repro.core.batched.relabel_for_engine", _refuse)
+    monkeypatch.setattr("repro.core.batched._label_table", _refuse)
+    for cls in (Graph, DiGraph):
+        monkeypatch.setattr(cls, "nodes", _refuse)
+        monkeypatch.setattr(cls, "__iter__", _refuse)
+    edges = color_edges(arrays, seed=4)
+    digraph = arrays.to_directed()
+    arcs = strong_color_arcs(digraph, seed=4)
+    assert check_proper_edge_coloring(arrays, edges.colors, complete=True) == []
+    assert check_strong_arc_coloring(digraph, arcs.colors) == []
+    assert (edges.colors, edges.rounds) == (want_edges.colors, want_edges.rounds)
+    assert (arcs.colors, arcs.rounds) == (want_arcs.colors, want_arcs.rounds)
+
+
+@pytest.mark.parametrize("order", ["labelled", "out-of-order"])
+def test_other_graphs_still_relabel_and_keep_their_labels(order):
+    base = erdos_renyi_avg_degree(60, 4.0, seed=8)
+    if order == "labelled":
+        label = {u: 1000 + 7 * u for u in base.nodes()}
+        g = Graph.from_num_nodes(0)
+        g.add_nodes_from(label[u] for u in base.nodes())
+    else:
+        label = {u: u for u in base.nodes()}
+        g = Graph()
+        g.add_nodes_from(reversed(base.nodes()))
+    g.add_edges_from((label[a], label[b]) for a, b in base.edges())
+    work, mapping = relabel_for_engine(g)
+    assert work is not g
+    inverse = {new: old for old, new in mapping.items()}
+    result = color_edges(g, seed=5)
+    relabelled = color_edges(work, seed=5)
+    assert result.colors == {
+        tuple(sorted((inverse[a], inverse[b]))): c
+        for (a, b), c in relabelled.colors.items()
+    }
+    assert check_proper_edge_coloring(g, result.colors, complete=True) == []
+    digraph = g.to_directed()
+    arcs = strong_color_arcs(digraph, seed=5)
+    assert check_strong_arc_coloring(digraph, arcs.colors) == []
+    assert {a for arc in arcs.colors for a in arc} <= set(g.nodes())
