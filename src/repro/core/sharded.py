@@ -4,17 +4,19 @@ The vectorized kernels (:mod:`repro.core.vectorized`) hold three big
 per-population blocks resident: the CSR adjacency, the flat uncolored
 partner lists, and the MT19937 pool (``uint32[624, n]`` — ~2.4 GB at
 n=10⁶, the dominant term by an order of magnitude).  The classes here
-re-house all three behind the shard layout of
-:mod:`repro.graphs.shards` so the whole-population arrays never exist:
+re-house them behind the shard layout of :mod:`repro.graphs.shards`
+so the whole-population pool never exists:
 
 * :class:`ShardedMT` keeps each shard's RNG pool in its own ``.npy``
-  memmap and opens **one shard at a time** per draw — after a shard's
-  draws are scattered back, the map is dropped (``munmap``), so the
+  file and maps **one shard at a time** per draw — after a shard's
+  draws are scattered back, the map is closed (``munmap``), so the
   process's resident high-water mark carries a single shard's pool,
   not the population's.
-* :class:`ShardedFlat` presents K per-shard edge files as one flat
-  array supporting exactly the two access patterns the phase code
-  uses — fancy-index gather and fancy-index scatter.
+* The flat arrays — the adjacency and the mutable partner lists copied
+  from it — are one spill ``.npy`` memmap each.  At bind the K shards'
+  index regions are copied into one file in flat-edge-space order, so
+  the phase code gathers and scatters on the memmap directly; its
+  pages are file-backed and evictable.
 * :class:`Alg1ShardKernel` / :class:`DiMa2EdShardKernel` subclass the
   vectorized kernels and substitute those containers plus a permuted
   row-start array for ``indptr``.  **Every phase method is inherited
@@ -34,12 +36,16 @@ exchange metered instead of sent.  Two first-class costs come out:
   would receive their copy over the wire.  Metered per phase as
   (cross-shard live listeners) x (phase words) x 8 bytes, maintained
   incrementally as nodes halt.
-* ``exchange_seconds`` — wall time spent moving state across shard
-  boundaries (the MT shard swap and the flat gather/scatter routing).
+* ``exchange_seconds`` — wall time spent moving RNG state across shard
+  boundaries: mapping and unmapping each shard's pool, splitting a
+  draw's ids by owner shard and scattering the outputs back.  The
+  draws and twists inside a shard count as compute, as they do on the
+  vectorized tier.
 """
 
 from __future__ import annotations
 
+import mmap
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,7 +69,6 @@ from repro.graphs.shards import ShardSet
 __all__ = [
     "ShardStats",
     "ShardedMT",
-    "ShardedFlat",
     "Alg1ShardKernel",
     "DiMa2EdShardKernel",
     "thaw_kernel",
@@ -71,8 +76,8 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: Nodes whose MT pool columns are seeded at once into a shard's
-#: memmap (bounds the transient beyond the memmap itself).
+#: Nodes whose MT pool columns are seeded through one map of a shard's
+#: pool file (bounds the pages resident at once while seeding).
 _SEED_NODES = 1 << 16
 
 #: Messages are modeled as 64-bit words throughout the runtime.
@@ -89,22 +94,23 @@ class ShardStats:
 
 
 class ShardedMT:
-    """All nodes' MT19937 streams, stored as one memmapped pool per shard.
+    """All nodes' MT19937 streams, stored as one pool file per shard.
 
     Draw calls take **global** ids (what the inherited phase code
-    passes); internally each call splits the ids by owner shard, opens
+    passes); internally each call splits the ids by owner shard, maps
     that shard's pool, replays the draws through a throwaway
-    :class:`VectorMT` view, and scatters the outputs back.  Per-node
-    streams are independent, so routing a draw through per-shard
-    subsets returns bit-identical outputs to the whole-population call
-    — the property suite pins this.
+    :class:`VectorMT` view, unmaps the pool and scatters the outputs
+    back.  Per-node streams are independent, so routing a draw through
+    per-shard subsets returns bit-identical outputs to the
+    whole-population call — the property suite pins this.
 
-    Each shard's pool file is word-major, ``uint32[624, n_s]`` like the
-    view's, so a draw touches the few word rows around the cursors.
-    ``mti``/``filled`` cursors stay resident per shard (``int64[n_s]``
-    each — two words per node, vs 624 for the pool) and are handed to
-    the ``VectorMT`` view by reference, so its in-place cursor updates
-    persist across opens with no copy-back.
+    Each shard's pool file is a word-major ``uint32[624, n_s]``
+    ``.npy``; its header offset is read once, and each map is a plain
+    ``mmap`` of the file viewed from that offset.  ``mti``/``filled``
+    cursors stay resident per shard (``int64[n_s]`` each — two words
+    per node, vs 624 for the pool) and are handed to the ``VectorMT``
+    view by reference, so its in-place cursor updates persist across
+    maps with no copy-back.
     """
 
     def __init__(
@@ -115,84 +121,74 @@ class ShardedMT:
         run_seed: Optional[int] = None,
     ) -> None:
         self._K = shardset.num_shards
-        self._n = shardset.n
         self._stats = stats
+        self._sizes = list(shardset.shard_nodes)
         spill = Path(spill_dir)
         self._paths = [spill / f"mt-{s}.npy" for s in range(self._K)]
-        self.mti = [
-            np.full(ns, _MT_N, dtype=np.int64) for ns in shardset.shard_nodes
-        ]
-        self.filled = [
-            np.full(ns, _MT_N, dtype=np.int64) for ns in shardset.shard_nodes
-        ]
+        self._offsets = [0] * self._K
+        self.mti = [np.full(ns, _MT_N, dtype=np.int64) for ns in self._sizes]
+        self.filled = [np.full(ns, _MT_N, dtype=np.int64) for ns in self._sizes]
         if run_seed is not None:
-            seeds = child_seeds(run_seed, self._n)
-            for s in range(self._K):
+            seeds = child_seeds(run_seed, shardset.n)
+            for s, ns in enumerate(self._sizes):
+                self._offsets[s] = np.lib.format.open_memmap(
+                    self._paths[s], mode="w+", dtype=np.uint32, shape=(_MT_N, ns)
+                ).offset
                 owned = shardset.owned(s)
-                mm = np.lib.format.open_memmap(
-                    self._paths[s],
-                    mode="w+",
-                    dtype=np.uint32,
-                    shape=(_MT_N, owned.size),
-                )
-                for lo in range(0, owned.size, _SEED_NODES):
-                    hi = min(lo + _SEED_NODES, owned.size)
-                    mm[:, lo:hi] = mt_states_from_seeds(seeds[owned[lo:hi]])
-                mm.flush()
-                del mm
+                for lo in range(0, ns, _SEED_NODES):
+                    hi = min(lo + _SEED_NODES, ns)
+                    pool, words = self._map(s)
+                    mt_states_from_seeds(seeds[owned[lo:hi]], out=words[:, lo:hi])
+                    del words
+                    pool.close()
 
-    def _view(self, shard: int) -> VectorMT:
-        return VectorMT(
-            np.load(self._paths[shard], mmap_mode="r+"),
-            self.mti[shard],
-            self.filled[shard],
+    def _map(self, shard: int):
+        """``(map, words)`` for shard ``shard``'s pool file.  Close the
+        map only after ``words`` and every view of it are gone (after an
+        exception, the map goes with the traceback that holds them)."""
+        with open(self._paths[shard], "r+b") as fh:
+            pool = mmap.mmap(fh.fileno(), 0)
+        ns = self._sizes[shard]
+        words = np.frombuffer(
+            pool, dtype=np.uint32, count=_MT_N * ns, offset=self._offsets[shard]
         )
+        return pool, words.reshape(_MT_N, ns)
 
-    def _split(self, ids: np.ndarray):
-        owners = ids % self._K
-        for s in np.unique(owners):
-            sel = owners == s
-            yield int(s), sel, ids[sel] // self._K
+    def _draw(self, method, ids, dtype, *args) -> np.ndarray:
+        """``method(view, local_ids, *args)`` per owner shard, scattered
+        into one output in ``ids`` order."""
+        ids = np.asarray(ids, dtype=np.int64)
+        out = np.empty(ids.size, dtype=dtype)
+        if not ids.size:
+            return out
+        t0 = perf_counter()
+        compute = 0.0
+        K = self._K
+        owners = ids % K
+        for s in np.flatnonzero(np.bincount(owners, minlength=K)).tolist():
+            sel = np.flatnonzero(owners == s)
+            local = ids[sel] // K
+            parts = [a[sel] for a in args]
+            pool, words = self._map(s)
+            t1 = perf_counter()
+            drawn = method(
+                VectorMT(words, self.mti[s], self.filled[s]), local, *parts
+            )
+            compute += perf_counter() - t1
+            del words
+            pool.close()
+            out[sel] = drawn
+        self._stats.exchange_seconds += perf_counter() - t0 - compute
+        return out
 
     def random_(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        out = np.empty(ids.size, dtype=np.float64)
-        if not ids.size:
-            return out
-        t0 = perf_counter()
-        for s, sel, local in self._split(ids):
-            mt = self._view(s)
-            out[sel] = mt.random_(local)
-            del mt
-        self._stats.exchange_seconds += perf_counter() - t0
-        return out
+        return self._draw(VectorMT.random_, ids, np.float64)
 
     def randbelow(self, ids: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        out = np.empty(ids.size, dtype=np.int64)
-        if not ids.size:
-            return out
-        bounds = np.asarray(bounds)
-        t0 = perf_counter()
-        for s, sel, local in self._split(ids):
-            mt = self._view(s)
-            out[sel] = mt.randbelow(local, bounds[sel])
-            del mt
-        self._stats.exchange_seconds += perf_counter() - t0
-        return out
+        return self._draw(VectorMT.randbelow, ids, np.int64, np.asarray(bounds))
 
     def next_words(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        out = np.empty(ids.size, dtype=np.uint32)
-        if not ids.size:
-            return out
-        t0 = perf_counter()
-        for s, sel, local in self._split(ids):
-            mt = self._view(s)
-            out[sel] = mt.next_words(local)
-            del mt
-        self._stats.exchange_seconds += perf_counter() - t0
-        return out
+        return self._draw(VectorMT.next_words, ids, np.uint32)
 
     def freeze(self) -> Dict[str, list]:
         """Materialize the full RNG state as plain arrays (checkpoint
@@ -200,7 +196,7 @@ class ShardedMT:
         note this is the one place the tier pays whole-population
         memory, ~2.5 KB/node)."""
         return {
-            "words": [np.array(np.load(p)) for p in self._paths],
+            "words": [np.load(p) for p in self._paths],
             "mti": [a.copy() for a in self.mti],
             "filled": [a.copy() for a in self.filled],
         }
@@ -214,18 +210,15 @@ class ShardedMT:
         payload: Dict[str, list],
     ) -> "ShardedMT":
         obj = cls(shardset, spill_dir, stats, run_seed=None)
-        for s in range(obj._K):
+        for s, path in enumerate(obj._paths):
             if "words" in payload:
                 words = np.asarray(payload["words"][s], dtype=np.uint32)
             else:
                 # Frozen before the word-major layout: node-major pools.
                 words = np.asarray(payload["state"][s], dtype=np.uint32).T
-            mm = np.lib.format.open_memmap(
-                obj._paths[s], mode="w+", dtype=np.uint32, shape=words.shape
-            )
-            mm[:] = words
-            mm.flush()
-            del mm
+            # C order: the maps view the data row by row.
+            np.save(path, np.ascontiguousarray(words))
+            obj._offsets[s] = np.load(path, mmap_mode="r").offset
         obj.mti = [np.asarray(a, dtype=np.int64).copy() for a in payload["mti"]]
         obj.filled = [
             np.asarray(a, dtype=np.int64).copy() for a in payload["filled"]
@@ -233,106 +226,28 @@ class ShardedMT:
         return obj
 
 
-class ShardedFlat:
-    """K per-shard edge files presented as one flat array.
-
-    Supports exactly what the phase code does with a flat array —
-    1-D fancy-index gather (``flat[pos]``) and scatter
-    (``flat[pos] = vals``) — plus ``.size``.  Positions are global
-    flat-edge-space offsets; ``searchsorted`` against the shard region
-    starts routes each access.  The maps stay open for the run (edge
-    files are m-sized, an order below the RNG pool; their pages are
-    file-backed and evictable either way).
-    """
-
-    def __init__(
-        self, maps: List[np.ndarray], base: np.ndarray, stats: ShardStats
-    ) -> None:
-        self._maps = maps
-        self._base = np.asarray(base, dtype=np.int64)
-        self._stats = stats
-        self.size = int(self._base[-1])
-        self.dtype = maps[0].dtype if maps else np.dtype(np.int64)
-
-    def _route(self, pos: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._base, pos, side="right") - 1
-
-    def __getitem__(self, pos) -> np.ndarray:
-        pos = np.asarray(pos, dtype=np.int64)
-        out = np.empty(pos.shape, dtype=self.dtype)
-        if not pos.size:
-            return out
-        t0 = perf_counter()
-        sid = self._route(pos)
-        for s in np.unique(sid):
-            sel = sid == s
-            out[sel] = self._maps[s][pos[sel] - self._base[s]]
-        self._stats.exchange_seconds += perf_counter() - t0
-        return out
-
-    def __setitem__(self, pos, vals) -> None:
-        pos = np.asarray(pos, dtype=np.int64)
-        if not pos.size:
-            return
-        vals = np.broadcast_to(np.asarray(vals, dtype=self.dtype), pos.shape)
-        t0 = perf_counter()
-        sid = self._route(pos)
-        for s in np.unique(sid):
-            sel = sid == s
-            self._maps[s][pos[sel] - self._base[s]] = vals[sel]
-        self._stats.exchange_seconds += perf_counter() - t0
-
-    def materialize(self) -> np.ndarray:
-        """The whole flat array as one resident ndarray (checkpoints)."""
-        if not self._maps:
-            return np.zeros(0, dtype=self.dtype)
-        return np.concatenate([np.asarray(m) for m in self._maps])
-
-
-def _open_base_indices(shardset: ShardSet, stats: ShardStats) -> ShardedFlat:
-    maps = [shardset.open_indices(s, "r") for s in range(shardset.num_shards)]
-    return ShardedFlat(maps, shardset.edge_base, stats)
-
-
-def _spill_copy_of_indices(
-    shardset: ShardSet, spill_dir: PathLike, name: str, stats: ShardStats
-) -> ShardedFlat:
-    """A writable per-shard copy of the adjacency (the mutable
-    uncolored partner lists start as exact copies of the neighbor
-    arrays, shard for shard)."""
-    spill = Path(spill_dir)
-    maps = []
-    for s in range(shardset.num_shards):
-        dst = spill / f"{name}-{s}.npy"
-        shutil.copyfile(shardset.indices_path(s), dst)
-        maps.append(np.load(dst, mmap_mode="r+"))
-    return ShardedFlat(maps, shardset.edge_base, stats)
-
-
-def _spill_from_flat(
-    shardset: ShardSet,
-    spill_dir: PathLike,
-    name: str,
-    flat: np.ndarray,
-    stats: ShardStats,
-) -> ShardedFlat:
-    """Rebuild a writable sharded flat from a materialized checkpoint
-    array."""
-    spill = Path(spill_dir)
-    base = shardset.edge_base
-    flat = np.asarray(flat)
-    maps = []
-    for s in range(shardset.num_shards):
-        lo, hi = int(base[s]), int(base[s + 1])
-        path = spill / f"{name}-{s}.npy"
-        mm = np.lib.format.open_memmap(
-            path, mode="w+", dtype=flat.dtype, shape=(hi - lo,)
+def _write_flat_indices(shardset: ShardSet, path: Path) -> np.ndarray:
+    """Copy the shards' index regions back to back, in flat-edge-space
+    order, into the ``.npy`` file ``path`` (the adjacency the phase code
+    reads), one shard map at a time.  Returns the cross audience:
+    ``cross[v]`` = v's listeners owned by other shards."""
+    n, K = shardset.n, shardset.num_shards
+    cross = np.zeros(n, dtype=np.int64)
+    descr = np.lib.format.dtype_to_descr(np.dtype(np.int64))
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": descr, "fortran_order": False, "shape": (shardset.m,)}
         )
-        mm[:] = flat[lo:hi]
-        mm.flush()
-        del mm
-        maps.append(np.load(path, mmap_mode="r+"))
-    return ShardedFlat(maps, base, stats)
+        for s in range(K):
+            idx = shardset.open_indices(s)
+            idx.tofile(fh)
+            if not idx.size:
+                continue
+            lens = np.diff(shardset.load_indptr(s))
+            rowid = np.repeat(shardset.owned(s), lens)
+            foreign = (idx % K) != s
+            cross += np.bincount(rowid[foreign], minlength=n)
+    return cross
 
 
 class _ShardKernelMixin:
@@ -401,18 +316,9 @@ class _ShardKernelMixin:
         # adjacent entries), so any layout with per-row-contiguous
         # regions works.
         self._indptr = shardset.global_starts()
-        self._indices = _open_base_indices(shardset, stats)
-        # cross_audience[v] = v's live listeners owned by other shards.
-        cross = np.zeros(n, dtype=np.int64)
-        for s in range(K):
-            idx = np.asarray(shardset.open_indices(s))
-            if not idx.size:
-                continue
-            lens = np.diff(shardset.load_indptr(s))
-            rowid = np.repeat(shardset.owned(s), lens)
-            foreign = (idx % K) != s
-            cross += np.bincount(rowid[foreign], minlength=n)
-        self._cross_audience = cross
+        path = self._spill_dir / "indices.npy"
+        self._cross_audience = _write_flat_indices(shardset, path)
+        self._indices = np.load(path, mmap_mode="r")
         if not init:
             return []
         self._audience = self._deg.copy()
@@ -433,6 +339,17 @@ class _ShardKernelMixin:
 
     def _init_kernel_state(self) -> None:
         raise NotImplementedError
+
+    def _spill_flat(self, name: str, flat: Optional[np.ndarray] = None):
+        """A writable flat memmap ``<name>.npy`` in the spill dir: a
+        copy of the adjacency (the mutable partner lists start as exact
+        copies of it), or of ``flat``, a frozen checkpoint array."""
+        path = self._spill_dir / f"{name}.npy"
+        if flat is None:
+            shutil.copyfile(self._spill_dir / "indices.npy", path)
+        else:
+            np.save(path, np.asarray(flat))
+        return np.load(path, mmap_mode="r+")
 
     def _freeze_params(self) -> dict:
         raise NotImplementedError
@@ -503,8 +420,7 @@ class _ShardKernelMixin:
                 "work_total": int(self.work_total),
             },
             "flats": {
-                name: getattr(self, name).materialize()
-                for name in self._KERNEL_FLATS
+                name: np.array(getattr(self, name)) for name in self._KERNEL_FLATS
             },
             "mt": self._mt.freeze(),
             "assign_chunks": [
@@ -529,9 +445,7 @@ class Alg1ShardKernel(_ShardKernelMixin, Alg1VecKernel):
     _KERNEL_FLATS = ("_unc",)
 
     def _init_kernel_state(self) -> None:
-        self._unc = _spill_copy_of_indices(
-            self._shardset, self._spill_dir, "unc", self._stats
-        )
+        self._unc = self._spill_flat("unc")
         self._unc_len = self._deg.copy()
         self._used = np.zeros((self._n, 1), dtype=np.uint64)
         self.work_total = int(self._shardset.m)
@@ -567,13 +481,9 @@ class DiMa2EdShardKernel(_ShardKernelMixin, DiMa2EdVecKernel):
 
     def _init_kernel_state(self) -> None:
         n = self._n
-        self._out = _spill_copy_of_indices(
-            self._shardset, self._spill_dir, "out", self._stats
-        )
+        self._out = self._spill_flat("out")
         self._out_len = self._deg.copy()
-        self._in = _spill_copy_of_indices(
-            self._shardset, self._spill_dir, "in", self._stats
-        )
+        self._in = self._spill_flat("in")
         self._in_len = self._deg.copy()
         u64 = np.uint64
         self._forbidden = np.zeros((n, 1), dtype=u64)
@@ -634,11 +544,7 @@ def thaw_kernel(
     for name, value in payload["scalars"].items():
         setattr(kernel, name, value)
     for name, flat in payload["flats"].items():
-        setattr(
-            kernel,
-            name,
-            _spill_from_flat(shardset, spill_dir, name.lstrip("_"), flat, stats),
-        )
+        setattr(kernel, name, kernel._spill_flat(name.lstrip("_"), flat))
     kernel._mt = ShardedMT.thaw(shardset, spill_dir, stats, payload["mt"])
     kernel._assign_chunks = [
         (np.asarray(s).copy(), np.asarray(t).copy(), np.asarray(c).copy())

@@ -122,21 +122,18 @@ def child_seeds(run_seed: int, n: int) -> np.ndarray:
             pool[i_dst] = _mix_scalar(pool[i_dst], hashed)
 
     # Final round, vectorized: every child mixes its spawn-key word into
-    # each pool word, with the hash constant advancing per destination.
-    keys = np.arange(n, dtype=_U32)
-    pool_vec = [np.full(n, p, dtype=_U32) for p in pool]
-    for i_dst in range(_POOL_SIZE):
-        xored = keys ^ _U32(hash_const)  # hashmix xors the pre-advance const
-        hash_const = (hash_const * _MULT_A) & _M32
-        hashed = xored * _U32(hash_const)
-        hashed ^= hashed >> _U32(_XSHIFT)
-        mixed = pool_vec[i_dst] * _U32(_MIX_MULT_L) - hashed * _U32(_MIX_MULT_R)
-        mixed ^= mixed >> _U32(_XSHIFT)
-        pool_vec[i_dst] = mixed
+    # each pool word, but generate_state(1) reads pool word 0 alone, and
+    # that word is the first destination mixed.
+    hashed = np.arange(n, dtype=_U32) ^ _U32(hash_const)  # pre-advance const
+    hash_const = (hash_const * _MULT_A) & _M32
+    hashed *= _U32(hash_const)
+    hashed ^= hashed >> _U32(_XSHIFT)
+    word = _U32((pool[0] * _MIX_MULT_L) & _M32) - hashed * _U32(_MIX_MULT_R)
+    word ^= word >> _U32(_XSHIFT)
 
     # generate_state(1): one word off pool[0] with the INIT_B chain.
     hash_const = (_INIT_B * _MULT_B) & _M32
-    state = (pool_vec[0] ^ _U32(_INIT_B)) * _U32(hash_const)
+    state = (word ^ _U32(_INIT_B)) * _U32(hash_const)
     state ^= state >> _U32(_XSHIFT)
     return state.astype(np.uint64)
 
@@ -167,7 +164,9 @@ def _init_genrand(s: int) -> np.ndarray:
     return mt
 
 
-def mt_states_from_seeds(seeds: np.ndarray) -> np.ndarray:
+def mt_states_from_seeds(
+    seeds: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """MT19937 state words for single-word integer seeds, vectorized.
 
     Column ``j`` is bit-equal to
@@ -176,7 +175,9 @@ def mt_states_from_seeds(seeds: np.ndarray) -> np.ndarray:
     and every seed here is a single word (child seeds are uint32).
     Returns ``uint32[624, n]``, word-major like :class:`VectorMT`'s
     pool; pair with ``mti`` initialized to 624 so the first draw
-    twists, exactly like a freshly seeded ``Random``.
+    twists, exactly like a freshly seeded ``Random``.  With ``out`` (a
+    ``uint32[624, n]`` block, such as a column slice of a memmapped
+    pool) the words are written there and ``out`` is returned.
 
     The sweeps run in uint32 throughout — unsigned ufuncs wrap mod 2**32,
     which *is* the reference masking — so each step touches one
@@ -185,8 +186,8 @@ def mt_states_from_seeds(seeds: np.ndarray) -> np.ndarray:
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     n = len(seeds)
-    base = _init_genrand(19650218)
-    mt = np.broadcast_to(base, (n, _MT_N)).T.copy()  # [624, n] uint32
+    mt = np.empty((_MT_N, n), dtype=_U32) if out is None else out
+    mt[:] = _init_genrand(19650218)[:, None]
     key = seeds.astype(_U32)  # key[j] with keylen == 1 -> always key[0]
     tmp = np.empty(n, dtype=_U32)
     thirty = _U32(30)
@@ -268,7 +269,10 @@ class VectorMT:
     entirely.  ``filled`` tracks how much of the current pool cycle each
     stream has generated; words at ``mti < filled`` are valid, and a
     chunk's inputs are exactly the previous cycle's words still sitting
-    above ``filled`` plus the already-final words below it.
+    above ``filled`` plus the already-final words below it.  So a later
+    chunk may be generated early for any stream whose ``filled`` sits at
+    its start, which ``_ensure`` does when such streams are a quarter of
+    the population.
     """
 
     __slots__ = ("words", "mti", "filled")
@@ -400,10 +404,20 @@ class VectorMT:
             filled[fresh] = 0
             mti[fresh] = 0
         need = ids[mti[ids] + extra >= filled[ids]]
+        n = filled.size
         while need.size:
             f = filled[need]
             for level, (start, _, _) in enumerate(_CHUNKS):
                 sub = need[f == start]
+                if level and sub.size and 4 * sub.size < n:
+                    # A stream whose ``filled`` sits at a later chunk's
+                    # start has read none of its words, and the chunk's
+                    # inputs no longer change, so twisting it early is
+                    # bit-identical.  A quarter of the population or more
+                    # takes one masked twist and spares their small fills.
+                    ready = np.flatnonzero(filled == start)
+                    if 4 * ready.size >= n:
+                        sub = ready
                 if sub.size:
                     self._fill_chunk(sub, level)
             need = need[mti[need] + extra >= filled[need]]

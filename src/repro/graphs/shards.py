@@ -23,7 +23,8 @@ is where row ``l*K + s``'s adjacency starts.  The sharded kernels run
 the unmodified vectorized phase logic against these permuted positions
 (see :mod:`repro.core.sharded`), so the permutation is load-bearing —
 it is what lets a row's adjacency stay contiguous inside one shard
-file.
+file.  At bind the kernels copy the shards' index regions, in this
+order, into one spill file, and gather and scatter on that one memmap.
 """
 
 from __future__ import annotations

@@ -414,7 +414,7 @@ def observe_run_metrics(
         ).add(getattr(metrics, "cross_shard_bytes", 0), **labels)
         registry.counter(
             "repro_shard_exchange_seconds",
-            "Wall-clock seconds in cross-shard state exchange",
+            "Wall-clock seconds mapping shard RNG pools and routing draws",
             names,
         ).add(getattr(metrics, "shard_exchange_seconds", 0.0), **labels)
         rss = getattr(metrics, "shard_peak_rss_kb", 0)

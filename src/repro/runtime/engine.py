@@ -54,6 +54,20 @@ __all__ = ["SynchronousEngine", "BatchedEngine", "RunResult", "ProgramFactory"]
 ProgramFactory = Callable[[int], NodeProgram]
 
 
+def require_contiguous_ids(topology) -> None:
+    """Raise ``GraphError`` unless ``topology``'s ids are ``0 .. n-1``.
+
+    An array-built graph's ids are by construction, so only a graph
+    built from sets pays the sort."""
+    if topology.edge_arrays() is None and (
+        sorted(topology.nodes()) != list(range(topology.num_nodes))
+    ):
+        raise GraphError(
+            "engine topology requires contiguous node ids 0..n-1; "
+            "call Graph.relabeled() first"
+        )
+
+
 def _edge_count(topology) -> int:
     """Edge (or arc) count for checkpoint fingerprints.
 
@@ -192,13 +206,7 @@ class SynchronousEngine:
         publisher=None,
         registry=None,
     ) -> None:
-        n = topology.num_nodes
-        nodes = topology.nodes()
-        if sorted(nodes) != list(range(n)):
-            raise GraphError(
-                "engine topology requires contiguous node ids 0..n-1; "
-                "call Graph.relabeled() first"
-            )
+        require_contiguous_ids(topology)
         if max_supersteps < 1:
             raise GraphError(f"max_supersteps must be >= 1, got {max_supersteps}")
         self.topology = topology
@@ -227,7 +235,7 @@ class SynchronousEngine:
         iptr = indptr.tolist()
         ind = indices.tolist()  # Python ints: faster to iterate than int64
         self._neighbor_map: Dict[int, Tuple[int, ...]] = {
-            u: tuple(ind[iptr[u] : iptr[u + 1]]) for u in range(n)
+            u: tuple(ind[iptr[u] : iptr[u + 1]]) for u in range(topology.num_nodes)
         }
         self._neighbor_sets: Dict[int, frozenset] = {
             u: frozenset(nbrs) for u, nbrs in self._neighbor_map.items()
@@ -623,15 +631,7 @@ class BatchedEngine:
         publisher=None,
         registry=None,
     ) -> None:
-        n = topology.num_nodes
-        # An array-built graph's ids are 0..n-1 by construction.
-        if topology.edge_arrays() is None and (
-            sorted(topology.nodes()) != list(range(n))
-        ):
-            raise GraphError(
-                "engine topology requires contiguous node ids 0..n-1; "
-                "call Graph.relabeled() first"
-            )
+        require_contiguous_ids(topology)
         if max_supersteps < 1:
             raise GraphError(f"max_supersteps must be >= 1, got {max_supersteps}")
         self.topology = topology

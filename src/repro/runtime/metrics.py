@@ -63,8 +63,8 @@ class RunMetrics:
     #: Sharded tier only — bytes the automaton's broadcasts would have
     #: crossed shard boundaries (live foreign listeners x phase words x 8).
     cross_shard_bytes: int = 0
-    #: Sharded tier only — wall seconds moving state across shard
-    #: boundaries (RNG shard swaps + flat-array gather/scatter routing).
+    #: Sharded tier only — wall seconds moving RNG state across shard
+    #: boundaries (pool maps and unmaps, owner split and scatter).
     shard_exchange_seconds: float = 0.0
     #: Sharded tier only — the process's peak RSS after the run, KiB.
     shard_peak_rss_kb: int = 0

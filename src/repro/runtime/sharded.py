@@ -16,11 +16,13 @@ the parent:
   — are folded into the ``RunMetrics``.
 
 The K shards are logical workers executed sequentially in one process;
-the metered exchange is exactly the traffic K communicating processes
-would put on the wire.  Everything else — metrics counters, telemetry,
-profiling, supersteps, budget handling, resume flow — is inherited
-unchanged, which is what keeps the tier bit-identical to the
-vectorized one (``diff_tiers`` pins it).
+``cross_shard_bytes`` is exactly the traffic K communicating processes
+would put on the wire, and ``shard_exchange_seconds`` is the time spent
+mapping and unmapping shard RNG pools and routing each draw to its
+owner shards (the draws themselves count as compute).  Everything else
+— metrics counters, telemetry, profiling, supersteps, budget handling,
+resume flow — is inherited unchanged, which is what keeps the tier
+bit-identical to the vectorized one (``diff_tiers`` pins it).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Optional, Union
 from repro.core.sharded import ShardStats, thaw_kernel
 from repro.errors import GraphError
 from repro.graphs.shards import ShardSet, write_graph_shards
-from repro.runtime.engine import BatchedEngine, RunResult
+from repro.runtime.engine import BatchedEngine, RunResult, require_contiguous_ids
 
 __all__ = ["ShardedEngine", "DEFAULT_NUM_SHARDS", "peak_rss_kb"]
 
@@ -61,8 +63,8 @@ class ShardedEngine(BatchedEngine):
     ``source`` is one of: a shard directory path, a loaded
     :class:`ShardSet`, or a ``Graph`` (contiguous ids) — a graph is
     sharded into ``<spill_dir>/shards`` on construction.  ``spill_dir``
-    holds every memmap the run mutates (RNG pools, uncolored-list
-    copies, and graph shards when sharding here); when omitted, a
+    holds every file the run maps (RNG pools, one memmap per flat
+    array, and graph shards when sharding here); when omitted, a
     private temporary directory is created and cleaned up with the
     engine.  The kernel must be a sharded kernel
     (:class:`~repro.core.sharded.Alg1ShardKernel` /
@@ -102,12 +104,7 @@ class ShardedEngine(BatchedEngine):
         else:
             # A Graph (or DiGraph): validate ids like the parent, then
             # shard it into the spill dir.
-            n = source.num_nodes
-            if sorted(source.nodes()) != list(range(n)):
-                raise GraphError(
-                    "engine topology requires contiguous node ids 0..n-1; "
-                    "call Graph.relabeled() first"
-                )
+            require_contiguous_ids(source)
             shardset = write_graph_shards(
                 source, self.spill_dir / "shards", num_shards
             )

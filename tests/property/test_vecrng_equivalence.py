@@ -14,6 +14,8 @@ directly against its reference:
 * the word-major pool's in-place twist, through each of its paths
   (whole population, masked write, gathered subset) and over a
   memmapped pool, and its memory bounds at n=10⁵
+* early chunk fills: streams reaching a chunk one at a time share one
+  masked twist once a quarter of the population is ready for it
 """
 
 import random
@@ -200,17 +202,23 @@ class TestStateRoundTrip:
 _TWO_CYCLES = 1300
 
 
-def _fills(vec, ids, draws):
-    """Draw ``draws`` words for ``ids``; return each ``_fill_chunk``
-    call as ``(level, number of streams)``."""
-    calls = []
+def _spying(calls):
+    """A ``_fill_chunk`` that logs each call as ``(level, number of
+    streams)`` into ``calls``."""
     fill = VectorMT._fill_chunk
 
     def spy(self, sub, level):
         calls.append((level, sub.size))
         fill(self, sub, level)
 
-    with mock.patch.object(VectorMT, "_fill_chunk", spy):
+    return spy
+
+
+def _fills(vec, ids, draws):
+    """Draw ``draws`` words for ``ids``; return each ``_fill_chunk``
+    call as ``(level, number of streams)``."""
+    calls = []
+    with mock.patch.object(VectorMT, "_fill_chunk", _spying(calls)):
         words = [vec.next_words(ids).tolist() for _ in range(draws)]
     return words, calls
 
@@ -263,6 +271,53 @@ class TestWordMajorTwist:
                            for _ in range(700)]
         assert vec.words is words
         assert np.array_equal(np.load(path), np.asarray(words))
+
+
+class TestEarlyFills:
+    """Streams advanced unevenly reach a chunk's start one at a time.
+    Once a quarter of the population sits at a later chunk's start,
+    the first of them to need it twists them all in one masked call;
+    chunk 0, whose inputs are words still being read, is never widened."""
+
+    N = 200
+    DRAWS = 700
+
+    def _run(self, vec, seed):
+        refs = spawn_node_rngs(seed, self.N)
+        ids = np.arange(self.N)
+        calls, got, want = [], [], []
+        with mock.patch.object(VectorMT, "_fill_chunk", _spying(calls)):
+            # Draw k covers streams k.., so stream j leads stream j - 1
+            # by one word from here on.
+            for k in range(self.N):
+                got.append(vec.next_words(ids[k:]).tolist())
+                want.append([refs[i].getrandbits(32) for i in range(k, self.N)])
+            for _ in range(self.DRAWS):
+                got.append(vec.next_words(ids).tolist())
+                want.append([r.getrandbits(32) for r in refs])
+        assert got == want
+        return calls
+
+    def _check(self, calls):
+        later = [(level, size) for level, size in calls if level]
+        # Without early fills, each stream takes a call of its own.
+        assert later[:2] == [(1, self.N), (2, self.N)]
+        assert len(later) <= 3
+        first = [size for level, size in calls if level == 0]
+        assert first[0] == self.N and first[1:] == [1] * self.N
+
+    def test_in_memory(self):
+        seed = 31
+        self._check(self._run(VectorMT.for_run(seed, self.N), seed))
+
+    def test_memmapped_pool(self, tmp_path):
+        seed = 32
+        seeded = VectorMT.for_run(seed, self.N)
+        np.save(tmp_path / "mt.npy", seeded.words)
+        words = np.load(tmp_path / "mt.npy", mmap_mode="r+")
+        vec = VectorMT(words, seeded.mti, seeded.filled)
+        self._check(self._run(vec, seed))
+        assert vec.words is words
 
 
 class TestPoolMemory:

@@ -1,5 +1,6 @@
 """``relabel_for_engine``: the zero-copy shortcut and its guard rails,
-and the run path's identity ids for array-built graphs."""
+and the run path's identity ids for array-built graphs, on the batched
+and the sharded engine."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,12 @@ import pytest
 from repro.core._coerce import relabel_for_engine
 from repro.core.dima2ed import strong_color_arcs
 from repro.core.edge_coloring import color_edges
+from repro.core.sharded import Alg1ShardKernel
+from repro.errors import GraphError
 from repro.graphs.adjacency import DiGraph, Graph
 from repro.graphs.generators import erdos_renyi_avg_degree
+from repro.graphs.io import read_edge_list, write_edge_list
+from repro.runtime.sharded import ShardedEngine
 from repro.verify import check_proper_edge_coloring, check_strong_arc_coloring
 
 
@@ -108,3 +113,29 @@ def test_other_graphs_still_relabel_and_keep_their_labels(order):
     arcs = strong_color_arcs(digraph, seed=5)
     assert check_strong_arc_coloring(digraph, arcs.colors) == []
     assert {a for arc in arcs.colors for a in arc} <= set(g.nodes())
+
+
+def test_sharded_runs_skip_the_sorted_ids_check_on_read_graphs(tmp_path, monkeypatch):
+    """A graph read from a native edge-list file is array-built, so the
+    sharded engine takes its ids as they are, as the batched one does."""
+    path = tmp_path / "er.edges"
+    write_edge_list(erdos_renyi_avg_degree(200, 5.0, seed=6), path)
+    graph = read_edge_list(path)
+    assert graph.edge_arrays() is not None
+    digraph = graph.to_directed()
+    want_edges = color_edges(graph, seed=3, compute="auto")
+    want_arcs = strong_color_arcs(digraph, seed=3, compute="auto")
+    for cls in (Graph, DiGraph):
+        monkeypatch.setattr(cls, "nodes", _refuse)
+        monkeypatch.setattr(cls, "__iter__", _refuse)
+    edges = color_edges(graph, seed=3, compute="sharded", shards=3)
+    arcs = strong_color_arcs(digraph, seed=3, compute="sharded", shards=3)
+    assert (edges.colors, edges.rounds) == (want_edges.colors, want_edges.rounds)
+    assert (arcs.colors, arcs.rounds) == (want_arcs.colors, want_arcs.rounds)
+
+
+def test_sharded_engine_rejects_non_contiguous_set_built_graphs(tmp_path):
+    g = Graph()
+    g.add_edge(3, 5)
+    with pytest.raises(GraphError, match="contiguous node ids"):
+        ShardedEngine(g, Alg1ShardKernel(), spill_dir=tmp_path)
